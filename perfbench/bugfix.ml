@@ -77,43 +77,47 @@ let instrument t =
   Help.set_executor t.Session.help (fun ~cwd ~helpsel:_ cmd ->
       Prof.time rc_run (fun () -> Rc.run t.Session.sh ~cwd cmd))
 
+(* Set-up boots the first session; each iteration replays on the
+   current session and then boots the next. *)
 let setup ~seed:_ =
   let reference =
     let d = Demo.run ~h:height ~keep_screens:false () in
     outcome d.Demo.session
   in
   let digest = Digest.to_hex (Digest.string (String.concat "\n" (List.map fst (script ())))) in
-  let iterate ~traced (r : Workload.run) =
-    let t =
-      Workload.timed r.aux (fun () -> Prof.time boot (fun () -> Session.boot ~h:height ()))
-    in
-    if traced then Prof.pause (fun () -> instrument t);
-    let ok = ref true in
-    let replay () =
-      List.iter
-        (fun (_, g) ->
-          r.attempted <- r.attempted + 1;
-          match
-            Workload.timed r.detail (fun () ->
-                Prof.time gesture (fun () -> g t);
-                ignore (Prof.time repaint (fun () -> Session.screen t)))
-          with
-          | () -> ()
-          | exception e ->
-              ok := false;
+  fun () ->
+    let next = ref (Session.boot ~h:height ()) in
+    let iterate ~traced (r : Workload.run) =
+      let t = !next in
+      if traced then Prof.pause (fun () -> instrument t);
+      let ok = ref true in
+      let replay () =
+        List.iter
+          (fun (_, g) ->
+            r.attempted <- r.attempted + 1;
+            match
+              Workload.timed r.detail (fun () ->
+                  Prof.time gesture (fun () -> g t);
+                  ignore (Prof.time repaint (fun () -> Session.screen t)))
+            with
+            | () -> ()
+            | exception e ->
+                ok := false;
+                r.failed <- r.failed + 1;
+                prerr_endline ("bugfix: gesture raised " ^ Printexc.to_string e))
+          (script ())
+      in
+      Workload.timed r.op (fun () -> Prof.Counters.around replay);
+      if !ok then
+        Prof.pause (fun () ->
+            if outcome t <> reference then begin
               r.failed <- r.failed + 1;
-              prerr_endline ("bugfix: gesture raised " ^ Printexc.to_string e))
-        (script ())
+              prerr_endline "bugfix: final screen or exec.c differs from Demo.run"
+            end);
+      next :=
+        Workload.timed r.aux (fun () -> Prof.time boot (fun () -> Session.boot ~h:height ()))
     in
-    Workload.timed r.op (fun () -> Prof.Counters.around replay);
-    if !ok then
-      Prof.pause (fun () ->
-          if outcome t <> reference then begin
-            r.failed <- r.failed + 1;
-            prerr_endline "bugfix: final screen or exec.c differs from Demo.run"
-          end)
-  in
-  { Workload.digest; iterate }
+    { Workload.digest; iterate }
 
 let workload =
   {

@@ -46,12 +46,20 @@ let describe = function
   | Grep p -> "grep " ^ p
   | Uses (n, f, l) -> Printf.sprintf "uses %s %s:%d" n f l
 
-let setup ~seed =
+(* A booted session with the corpus installed: its directory and unit
+   paths. *)
+let install () =
   let t = Session.boot () in
-  let ns = t.Session.ns in
-  let dir = Corpus.install_synthetic ns ~modules in
+  let dir = Corpus.install_synthetic t.Session.ns ~modules in
+  (t, dir, Array.init modules (fun m -> Printf.sprintf "%s/mod%03d.c" dir m))
+
+let setup ~seed =
+  (* the references, on a session of their own *)
+  let ns, dir, paths =
+    let t, dir, paths = install () in
+    (t.Session.ns, dir, paths)
+  in
   let units = List.init modules (Printf.sprintf "mod%03d.c") in
-  let paths = Array.of_list (List.map (fun u -> dir ^ "/" ^ u) units) in
   let files = Array.to_list paths in
   let originals = Array.map (Vfs.read_file ns) paths in
   let st = Workload.rng ~seed "corpus" in
@@ -66,12 +74,11 @@ let setup ~seed =
       (fun kind -> anchor (Printf.sprintf "%s%d" kind (module_number st)))
       [ "work"; "work"; "counter"; "counter"; "helper"; "helper"; "work"; "counter" ]
   in
-  let ix = Index.of_ns ns in
   let useful p = Index.query_useful (Index.plan (Regexp.compile p)) in
   if List.length (List.filter useful greps) <> 12 then
     failwith "corpus: the pattern pool lost its 12/4 split";
-  (* the unpruned answer for every anchor, computed once; edits only
-     append declarations no anchor refers to, so it stays valid *)
+  (* the unpruned answer for every anchor; edits only append
+     declarations no anchor refers to, so it stays valid *)
   let expected =
     let cache = Cbr.create_index () in
     List.map
@@ -79,8 +86,6 @@ let setup ~seed =
         ((name, file, line), Cbr.uses_at ~index:cache ns ~cwd:dir units ~file ~line ~name))
       uses
   in
-  (* warm the index and the compile cache *)
-  List.iter (fun p -> ignore (Index.grep ix (Regexp.compile p) files)) greps;
   let pool =
     Array.of_list
       (List.map (fun p -> Grep p) greps @ List.map (fun (n, f, l) -> Uses (n, f, l)) uses)
@@ -114,103 +119,109 @@ let setup ~seed =
     done;
     Digest.to_hex (Digest.string (Buffer.contents b))
   in
-  let next = stream () in
-  let fail (r : Workload.run) msg =
-    r.failed <- r.failed + 1;
-    prerr_endline ("corpus: " ^ msg)
-  in
-  (* rc's output must be the linear scan's hits, and the indexed scan
-     must agree with the linear one *)
-  let check_grep r pat out =
-    Prof.pause (fun () ->
-        let re = Regexp.compile pat in
-        let linear = Index.grep_linear ix re files in
-        let expect =
-          String.concat ""
-            (List.map
-               (fun h ->
-                 Printf.sprintf "%s:%d:%s\n" (Filename.basename h.Index.h_doc)
-                   h.Index.h_line h.Index.h_text)
-               linear)
-        in
-        if Index.hits_text (Index.grep ix re files) <> Index.hits_text linear || out <> expect
-        then fail r ("grep disagrees with the linear scan on " ^ pat))
-  in
-  let grep ~traced (r : Workload.run) ~check pat =
-    let cmd = Printf.sprintf "grep -n '%s' *.c" pat in
-    let res =
-      Workload.timed r.op (fun () ->
-          Prof.Counters.around (fun () ->
-              Prof.time rc_grep (fun () -> Rc.run t.Session.sh ~cwd:dir cmd)))
+  fun () ->
+    let t, _, _ = install () in
+    let ns = t.Session.ns in
+    (* build the index and warm it and the compile cache *)
+    let ix = Index.of_ns ns in
+    List.iter (fun p -> ignore (Index.grep ix (Regexp.compile p) files)) greps;
+    let next = stream () in
+    let fail (r : Workload.run) msg =
+      r.failed <- r.failed + 1;
+      prerr_endline ("corpus: " ^ msg)
     in
-    if res.Rc.r_status > 1 || res.Rc.r_err <> "" then fail r ("grep failed: " ^ res.Rc.r_err)
-    else if check then check_grep r pat res.Rc.r_out;
-    if traced then begin
-      (* the same query through the lower layers' entry points, each
-         carved out of the shell's time; the shell prunes only when
-         the planner found trigrams *)
-      let compile_ns, prune_ns, scan_ns, useful =
-        Prof.pause (fun () ->
-            let re, compile_ns = Prof.elapsed (fun () -> Regexp.compile pat) in
-            let q = Index.plan re in
-            let useful = Index.query_useful q in
-            let kept, prune_ns =
-              if useful then Prof.elapsed (fun () -> Index.prune ix q files) else (files, 0)
-            in
-            (* the shell's scan: every line of every kept unit *)
-            let _, scan_ns =
-              Prof.elapsed (fun () ->
-                  List.iter
-                    (fun f ->
-                      ignore (Hsearch.count_matching_lines (Hsearch.Pattern re) (Vfs.read_file ns f)))
-                    kept)
-            in
-            (compile_ns, prune_ns, scan_ns, useful))
-      in
-      Prof.carve ~from:rc_grep compile compile_ns;
-      Prof.carve ~from:rc_grep prune prune_ns;
-      Prof.carve ~from:rc_grep scan scan_ns;
-      Prof.tally "grep";
-      if not useful then Prof.tally "grep.fallback"
-    end
-  in
-  let uses_at ~traced (r : Workload.run) ~check ((name, file, line) as key) =
-    let got =
-      Workload.timed r.aux (fun () ->
-          Prof.Counters.around (fun () ->
-              Prof.time cbr_uses (fun () ->
-                  Cbr.uses_at ~search:ix ns ~cwd:dir units ~file ~line ~name)))
-    in
-    if check then
+    (* rc's output must be the linear scan's hits, and the indexed scan
+       must agree with the linear one *)
+    let check_grep r pat out =
       Prof.pause (fun () ->
-          if got <> List.assoc key expected then fail r ("pruned uses differs for " ^ name));
-    if traced then begin
-      let _, prune_ns =
-        Prof.pause (fun () ->
-            Prof.elapsed (fun () -> Index.prune ix (Index.plan_literal name) files))
+          let re = Regexp.compile pat in
+          let linear = Index.grep_linear ix re files in
+          let expect =
+            String.concat ""
+              (List.map
+                 (fun h ->
+                   Printf.sprintf "%s:%d:%s\n" (Filename.basename h.Index.h_doc)
+                     h.Index.h_line h.Index.h_text)
+                 linear)
+          in
+          if Index.hits_text (Index.grep ix re files) <> Index.hits_text linear || out <> expect
+          then fail r ("grep disagrees with the linear scan on " ^ pat))
+    in
+    let grep ~traced (r : Workload.run) ~check pat =
+      let cmd = Printf.sprintf "grep -n '%s' *.c" pat in
+      let res =
+        Workload.timed r.op (fun () ->
+            Prof.Counters.around (fun () ->
+                Prof.time rc_grep (fun () -> Rc.run t.Session.sh ~cwd:dir cmd)))
       in
-      Prof.carve ~from:cbr_uses prune prune_ns
-    end
-  in
-  let iterate ~traced (r : Workload.run) =
-    let order, edits, sample = next () in
-    Array.iteri
-      (fun k i ->
-        r.attempted <- r.attempted + 1;
-        (match pool.(i) with
-        | Grep pat -> grep ~traced r ~check:sample.(k) pat
-        | Uses (name, file, line) -> uses_at ~traced r ~check:sample.(k) (name, file, line));
-        if (k + 1) mod edit_every = 0 then begin
-          let u, x = edits.(k / edit_every) in
+      if res.Rc.r_status > 1 || res.Rc.r_err <> "" then fail r ("grep failed: " ^ res.Rc.r_err)
+      else if check then check_grep r pat res.Rc.r_out;
+      if traced then begin
+        (* the same query through the lower layers' entry points, each
+           carved out of the shell's time; the shell prunes only when
+           the planner found trigrams *)
+        let compile_ns, prune_ns, scan_ns, useful =
+          Prof.pause (fun () ->
+              let re, compile_ns = Prof.elapsed (fun () -> Regexp.compile pat) in
+              let q = Index.plan re in
+              let useful = Index.query_useful q in
+              let kept, prune_ns =
+                if useful then Prof.elapsed (fun () -> Index.prune ix q files) else (files, 0)
+              in
+              (* the shell's scan: every line of every kept unit *)
+              let _, scan_ns =
+                Prof.elapsed (fun () ->
+                    List.iter
+                      (fun f ->
+                        ignore (Hsearch.count_matching_lines (Hsearch.Pattern re) (Vfs.read_file ns f)))
+                      kept)
+              in
+              (compile_ns, prune_ns, scan_ns, useful))
+        in
+        Prof.carve ~from:rc_grep compile compile_ns;
+        Prof.carve ~from:rc_grep prune prune_ns;
+        Prof.carve ~from:rc_grep scan scan_ns;
+        Prof.tally "grep";
+        if not useful then Prof.tally "grep.fallback"
+      end
+    in
+    let uses_at ~traced (r : Workload.run) ~check ((name, file, line) as key) =
+      let got =
+        Workload.timed r.aux (fun () ->
+            Prof.Counters.around (fun () ->
+                Prof.time cbr_uses (fun () ->
+                    Cbr.uses_at ~search:ix ns ~cwd:dir units ~file ~line ~name)))
+      in
+      if check then
+        Prof.pause (fun () ->
+            if got <> List.assoc key expected then fail r ("pruned uses differs for " ^ name));
+      if traced then begin
+        let _, prune_ns =
+          Prof.pause (fun () ->
+              Prof.elapsed (fun () -> Index.prune ix (Index.plan_literal name) files))
+        in
+        Prof.carve ~from:cbr_uses prune prune_ns
+      end
+    in
+    let iterate ~traced (r : Workload.run) =
+      let order, edits, sample = next () in
+      Array.iteri
+        (fun k i ->
           r.attempted <- r.attempted + 1;
-          Prof.tally "edit";
-          Prof.time edit (fun () ->
-              Session.write_file t paths.(u)
-                (originals.(u) ^ Printf.sprintf "static int zz_pad_%06d;\n" x))
-        end)
-      order
-  in
-  { Workload.digest; iterate }
+          (match pool.(i) with
+          | Grep pat -> grep ~traced r ~check:sample.(k) pat
+          | Uses (name, file, line) -> uses_at ~traced r ~check:sample.(k) (name, file, line));
+          if (k + 1) mod edit_every = 0 then begin
+            let u, x = edits.(k / edit_every) in
+            r.attempted <- r.attempted + 1;
+            Prof.tally "edit";
+            Prof.time edit (fun () ->
+                Session.write_file t paths.(u)
+                  (originals.(u) ^ Printf.sprintf "static int zz_pad_%06d;\n" x))
+          end)
+        order
+    in
+    { Workload.digest; iterate }
 
 let workload =
   {

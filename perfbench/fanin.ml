@@ -53,12 +53,16 @@ let attach_seats pool =
       rpc (Nine.Tattach { fid = 0; uname = "seat"; aname = "" });
       c)
 
-let setup ~seed =
+(* The booted session the seats attach to, with the windows of the
+   fixed set open. *)
+let session () =
   let t = Session.boot () in
   List.iter (fun f -> ignore (Help.open_file t.Session.help ~dir:"/" f)) files;
   ignore (Session.screen t);
-  let ids = Array.of_list (List.map Hwin.id (Help.windows t.Session.help)) in
-  let nwin = Array.length ids in
+  t
+
+let setup ~seed =
+  let nwin = List.length (Help.windows (session ()).Session.help) in
   let st = Workload.rng ~seed "fanin" in
   let texts =
     Array.init n_texts (fun _ ->
@@ -70,28 +74,6 @@ let setup ~seed =
   for k = 0 to (seats / 4) - 1 do
     writer.(perm.(k)) <- true
   done;
-  (* a read must return the window's initial body or a text written
-     to it; every body must fit one read *)
-  let allowed =
-    Array.map
-      (fun id ->
-        let h = Hashtbl.create 8 in
-        let body = Vfs.read_file t.Session.ns (Printf.sprintf "/mnt/help/%d/body" id) in
-        if String.length body >= read_count then failwith "fanin: body exceeds one read";
-        Hashtbl.replace h body ();
-        h)
-      ids
-  in
-  let cats = Array.map cat_batch ids in
-  let writes = Array.map (fun id -> Array.map (write_batch id) texts) ids in
-  let plain = attach_seats t.Session.pool in
-  let traced_seats =
-    lazy
-      (let pool =
-         Nine.Pool.create (Workload.timed_fs (Help_srv.filesystem t.Session.help))
-       in
-       (pool, attach_seats pool))
-  in
   (* the op stream: per round and seat, a window and a text *)
   let stream () =
     let ops = Workload.rng ~seed "fanin.ops" in
@@ -107,59 +89,93 @@ let setup ~seed =
       Array.iteri
         (fun i (w, x) ->
           Buffer.add_string b
-            (if writer.(i) then Printf.sprintf "w%d:%d " ids.(w) x
-             else Printf.sprintf "r%d " ids.(w)))
+            (if writer.(i) then Printf.sprintf "w%d:%d " w x else Printf.sprintf "r%d " w))
         (next ())
     done;
     Digest.to_hex (Digest.string (Buffer.contents b))
   in
-  let next = stream () in
-  let fed = Array.make seats 0 in
-  let iterate ~traced (r : Workload.run) =
-    let pool, conns =
-      if traced then Prof.pause (fun () -> Lazy.force traced_seats)
-      else (t.Session.pool, plain)
+  fun () ->
+    let t = session () in
+    let ids = Array.of_list (List.map Hwin.id (Help.windows t.Session.help)) in
+    (* a read must return the window's initial body or a text written
+       to it; every body must fit one read *)
+    let allowed =
+      Prof.pause (fun () ->
+          Array.map
+            (fun id ->
+              let h = Hashtbl.create 8 in
+              let body = Vfs.read_file t.Session.ns (Printf.sprintf "/mnt/help/%d/body" id) in
+              if String.length body >= read_count then failwith "fanin: body exceeds one read";
+              Hashtbl.replace h body ();
+              h)
+            ids)
     in
-    let choice = next () in
-    Prof.Counters.around (fun () ->
-        for i = 0 to seats - 1 do
-          let w, x = choice.(i) in
-          let is_write = writer.(i) in
-          if is_write then Hashtbl.replace allowed.(w) texts.(x) ();
-          let c = conns.(i) in
-          fed.(i) <- Prof.now_ns ();
-          let bad = ref false in
-          let settled tk last o =
-            let ok =
-              match o with
-              | Nine.Pool.Replied rep -> (
-                  match Prof.time decode (fun () -> Nine.decode_r rep) with
-                  | _, Nine.Rwalk { qids } -> List.length qids = 2
-                  | _, (Nine.Ropen _ | Nine.Rclunk) -> true
-                  | _, Nine.Rread { data } -> Hashtbl.mem allowed.(w) data
-                  | _, Nine.Rwrite { count } -> count = text_size
-                  | _ -> false)
-              | Nine.Pool.Waiting | Nine.Pool.Flushed -> false
+    let cats = Array.map cat_batch ids in
+    let writes = Array.map (fun id -> Array.map (write_batch id) texts) ids in
+    let plain = attach_seats t.Session.pool in
+    let traced_seats =
+      lazy
+        (let pool =
+           Nine.Pool.create (Workload.timed_fs (Help_srv.filesystem t.Session.help))
+         in
+         (pool, attach_seats pool))
+    in
+    let next = stream () in
+    let fed = Array.make seats 0 in
+    (* each seat's decoded replies of the round, checked after it *)
+    let got = Array.make seats [] in
+    let ok w = function
+      | Some (Nine.Rwalk { qids }) -> List.length qids = 2
+      | Some (Nine.Ropen _ | Nine.Rclunk) -> true
+      | Some (Nine.Rread { data }) -> Hashtbl.mem allowed.(w) data
+      | Some (Nine.Rwrite { count }) -> count = text_size
+      | _ -> false
+    in
+    let iterate ~traced (r : Workload.run) =
+      let pool, conns =
+        if traced then Prof.pause (fun () -> Lazy.force traced_seats)
+        else (t.Session.pool, plain)
+      in
+      let choice = next () in
+      Prof.Counters.around (fun () ->
+          for i = 0 to seats - 1 do
+            let w, x = choice.(i) in
+            let is_write = writer.(i) in
+            if is_write then Hashtbl.replace allowed.(w) texts.(x) ();
+            let c = conns.(i) in
+            r.attempted <- r.attempted + 1;
+            got.(i) <- [];
+            fed.(i) <- Prof.now_ns ();
+            let settled tk last o =
+              let reply =
+                match o with
+                | Nine.Pool.Replied rep -> Some (snd (Prof.time decode (fun () -> Nine.decode_r rep)))
+                | Nine.Pool.Waiting | Nine.Pool.Flushed -> None
+              in
+              got.(i) <- reply :: got.(i);
+              if tk = last then
+                Workload.Samples.add
+                  (if is_write then r.aux else r.op)
+                  (float_of_int (Prof.now_ns () - fed.(i)) /. 1e6)
             in
-            if not ok then bad := true;
-            if tk = last then begin
-              let ms = float_of_int (Prof.now_ns () - fed.(i)) /. 1e6 in
-              Workload.Samples.add (if is_write then r.aux else r.op) ms;
-              r.attempted <- r.attempted + 1;
-              if !bad then r.failed <- r.failed + 1
-            end
-          in
-          (* submission: the batch, then a continuation per ticket *)
-          Prof.time feed (fun () ->
-              let tickets = Nine.Pool.feed c (if is_write then writes.(w).(x) else cats.(w)) in
-              let last = List.nth tickets 3 in
-              List.iter (fun tk -> Nine.Pool.on_settled c tk (settled tk last)) tickets)
-        done;
-        Prof.time sched (fun () -> Nine.Pool.run pool));
-    r.rpcs <- r.rpcs + (4 * seats);
-    ignore (Prof.time repaint (fun () -> Session.screen t))
-  in
-  { Workload.digest; iterate }
+            (* submission: the batch, then a continuation per ticket *)
+            Prof.time feed (fun () ->
+                let tickets = Nine.Pool.feed c (if is_write then writes.(w).(x) else cats.(w)) in
+                let last = List.nth tickets 3 in
+                List.iter (fun tk -> Nine.Pool.on_settled c tk (settled tk last)) tickets)
+          done;
+          Prof.time sched (fun () -> Nine.Pool.run pool));
+      Prof.pause (fun () ->
+          Array.iteri
+            (fun i replies ->
+              let w, _ = choice.(i) in
+              if List.length replies <> 4 || not (List.for_all (ok w) replies) then
+                r.failed <- r.failed + 1)
+            got);
+      r.rpcs <- r.rpcs + (4 * seats);
+      ignore (Prof.time repaint (fun () -> Session.screen t))
+    in
+    { Workload.digest; iterate }
 
 let workload =
   {

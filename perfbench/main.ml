@@ -2,16 +2,16 @@
 
      main.exe --workload NAME --seed N --seconds S --trace 0|1
 
-   Sets the workload up several times (the median is setup_s), warms it,
-   then runs its closed loop for S seconds of wall clock and prints
+   Sets the workload up again and again for [setup_seconds] (setup_s is
+   a median of those set-ups), warms it, then runs its closed loop for S seconds of wall clock and prints
    every end-to-end metric.  With --trace 1 it runs the loop untraced
    for S/2 seconds and traced for S/2, and prints the per-layer
    profile, the unattributed remainder and the tracing overhead
    instead.  The last line of standard output is one JSON object:
    {"correct", "attempted", "failed", "metrics"}.
 
-   Every figure is computed per tenth of the run, and the quartile of
-   the ten on the fast side is reported (see [per_segment]).
+   Medians and rates are taken over the run's quietest stretches, and
+   the 90th percentile over the whole run (see [segment_s]).
 
    The program runs with its boot defaults (trace sampling rate 1, the
    logical trace clock); the benchmark never changes either. *)
@@ -22,13 +22,18 @@ let workloads =
 (* A seed kept out of every tuning run, for verifying later claims. *)
 let held_back_seed = 7919
 
-(* Set-up repeats at least [min_setups] times and until it has taken
-   [setup_budget_s], at most [max_setups] times; a short set-up is
-   noisy, so it gets more repetitions. *)
-let min_setups = 5
-let max_setups = 50
-let setup_budget_s = 2.
-let segments = 10
+(* Set-up repeats, each time from scratch, for this many seconds,
+   measured like the loop below. *)
+let setup_seconds = 5.
+
+(* The loop is cut into segments of [segment_s] of wall time.  On a
+   shared machine the program runs up to half again slower while other
+   work shares its core, in stretches of half a second to a minute.  So
+   medians and the rate are taken over the [kept_share] of segments in
+   which the unit of work ran fastest, and higher percentiles over the
+   whole run, whose tail holds those stretches in every run. *)
+let segment_s = 0.25
+let kept_share = 0.1
 
 let usage () =
   prerr_endline
@@ -55,11 +60,6 @@ let args () =
   if trace <> 0 && trace <> 1 then usage ();
   (w, int "seed", int "seconds", trace = 1)
 
-(* The [p]th percentile of a list, leaving out NaNs (empty tenths). *)
-let quantile l p =
-  let a = Array.of_list (List.filter (fun x -> not (Float.is_nan x)) l) in
-  Workload.Samples.percentile { a; n = Array.length a } ~lo:0 ~hi:(Array.length a) p
-
 (* The state of a run at a segment's end. *)
 type mark = { at_s : float; (* measured seconds *) op_n : int; aux_n : int; detail_n : int }
 
@@ -68,10 +68,11 @@ type measured = {
   wall_s : float;  (* measured loop time, checks and probes excluded *)
   minor_words : float;
   marks : mark array;  (* the start, then each segment's end *)
+  fast : int list;  (* the segments kept for medians and the rate *)
 }
 
-(* Run iterations until [seconds] of wall clock have passed. *)
-let loop (inst : Workload.instance) ~seconds ~traced =
+(* Run [step] until [seconds] of wall clock have passed. *)
+let loop step ~seconds ~traced =
   Prof.reset ();
   Prof.Counters.clear ();
   Gc.compact ();
@@ -79,6 +80,7 @@ let loop (inst : Workload.instance) ~seconds ~traced =
   Prof.on := traced;
   let w0 = Gc.minor_words () in
   let t0 = Prof.now_ns () in
+  let segments = max 1 (int_of_float (seconds /. segment_s)) in
   let seg = int_of_float (seconds *. 1e9) / segments in
   let mark now =
     {
@@ -88,61 +90,71 @@ let loop (inst : Workload.instance) ~seconds ~traced =
       detail_n = r.detail.n;
     }
   in
-  let marks = ref [ mark t0 ] in
-  let k = ref 1 in
+  let marks = ref [ mark t0 ] and k = ref 1 in
   while !k <= segments do
-    inst.Workload.iterate ~traced r;
+    step r;
     let now = Prof.now_ns () in
-    if now - t0 >= !k * seg then begin
+    (* an iteration longer than a segment leaves empty segments *)
+    while !k <= segments && now - t0 >= !k * seg do
       marks := mark now :: !marks;
       incr k
-    end
+    done
   done;
   Prof.on := false;
   let marks = Array.of_list (List.rev !marks) in
+  let p50 k = Workload.Samples.percentile r.op ~lo:marks.(k).op_n ~hi:marks.(k + 1).op_n 50. in
+  let by_speed =
+    List.sort compare
+      (List.filter
+         (fun (v, _) -> not (Float.is_nan v))
+         (List.init segments (fun k -> (p50 k, k))))
+  in
+  let kept = max 1 (int_of_float (kept_share *. float_of_int (List.length by_speed))) in
   {
     run = r;
     wall_s = marks.(segments).at_s;
     minor_words = Gc.minor_words () -. w0;
     marks;
+    fast = List.filteri (fun i _ -> i < kept) (List.map snd by_speed);
   }
 
-let samples m = function
-  | `Op -> (m.run.op, fun k -> m.marks.(k).op_n)
-  | `Aux -> (m.run.aux, fun k -> m.marks.(k).aux_n)
-  | `Detail -> (m.run.detail, fun k -> m.marks.(k).detail_n)
-
-(* Interference from elsewhere on the machine only ever slows a tenth
-   down, and comes in bursts of a few seconds: the quartile of the ten
-   tenths on the fast side estimates the program's own cost.  With
-   [lower] that is the lower quartile (times), else the upper (rates). *)
-let per_segment ~lower f =
-  quantile (List.init segments (fun k -> f (k + 1))) (if lower then 25. else 75.)
-
-(* The fast-side quartile over tenths of each tenth's [p]th percentile,
-   and the fewest samples beyond that percentile in any tenth. *)
-let pct m which p =
-  let s, n = samples m which in
-  let v =
-    per_segment ~lower:true (fun k -> Workload.Samples.percentile s ~lo:(n (k - 1)) ~hi:(n k) p)
+(* The samples of the whole run, or of the fast segments only. *)
+let samples ?(fast = false) m which =
+  let s, n =
+    match which with
+    | `Op -> (m.run.op, fun k -> m.marks.(k).op_n)
+    | `Aux -> (m.run.aux, fun k -> m.marks.(k).aux_n)
+    | `Detail -> (m.run.detail, fun k -> m.marks.(k).detail_n)
   in
-  let beyond =
-    List.fold_left min max_int
-      (List.init segments (fun k -> Workload.Samples.beyond ~lo:(n k) ~hi:(n (k + 1)) p))
-  in
-  (v, beyond)
+  if not fast then s
+  else
+    Workload.Samples.of_array
+      (Array.concat (List.map (fun k -> Array.sub s.a (n k) (n (k + 1) - n k)) m.fast))
 
+(* A median or lower percentile over the fast segments, a higher one
+   over the whole run, with the samples it was taken from. *)
+let pct_of m which p =
+  let s = samples ~fast:(p <= 50.) m which in
+  (Workload.Samples.percentile s ~lo:0 ~hi:s.n p, s)
+
+let pct m which p = fst (pct_of m which p)
+
+(* units of work per measured second in the fast segments *)
 let rate m =
-  per_segment ~lower:false (fun k ->
-      float_of_int (m.marks.(k).op_n - m.marks.(k - 1).op_n)
-      /. (m.marks.(k).at_s -. m.marks.(k - 1).at_s))
+  let ops, secs =
+    List.fold_left
+      (fun (o, t) k ->
+        (o + m.marks.(k + 1).op_n - m.marks.(k).op_n, t +. m.marks.(k + 1).at_s -. m.marks.(k).at_s))
+      (0, 0.) m.fast
+  in
+  float_of_int ops /. secs
 
 let end_to_end ~setup_s m =
   [
     ("setup_s", setup_s, "s");
-    ("op_ms_p50", fst (pct m `Op 50.), "ms");
-    ("op_ms_p90", fst (pct m `Op 90.), "ms");
-    ("aux_ms_p50", fst (pct m `Aux 50.), "ms");
+    ("op_ms_p50", pct m `Op 50., "ms");
+    ("op_ms_p90", pct m `Op 90., "ms");
+    ("aux_ms_p50", pct m `Aux 50., "ms");
     ("ops_per_s", rate m, "1/s");
   ]
 
@@ -181,7 +193,7 @@ let per_layer ~untraced m =
         "frac" );
       ("gc.minor_words_per_op", m.minor_words /. float_of_int (max 1 ops), "count");
       ( "trace.overhead_frac",
-        (fst (pct m `Op 50.) /. fst (pct untraced `Op 50.)) -. 1.,
+        (pct m `Op 50. /. pct untraced `Op 50.) -. 1.,
         "frac" );
     ]
 
@@ -190,9 +202,10 @@ let print_metric (name, v, unit) = Printf.printf "  %-26s %14.6f %s\n" name v un
 let print_named (w : Workload.t) m =
   List.iter
     (fun (name, which, p, scale, unit) ->
-      let v, beyond = pct m which p in
-      Printf.printf "  %-26s %14.6f %-4s (p%g of %d samples; >= %d beyond it in each tenth)\n"
-        name (v *. scale) unit p (fst (samples m which)).n beyond)
+      let v, s = pct_of m which p in
+      Printf.printf "  %-26s %14.6f %-4s (p%g of %d samples, %d beyond it)\n" name (v *. scale)
+        unit p s.n
+        (Workload.Samples.beyond ~lo:0 ~hi:s.n p))
     w.Workload.named;
   if m.run.rpcs > 0 then print_metric ("rpcs_per_s", float_of_int m.run.rpcs /. m.wall_s, "1/s")
 
@@ -232,42 +245,49 @@ let () =
   let w, seed, seconds, traced = args () in
   Printf.printf "perfbench: workload %s, seed %d, %d s, trace %d (held-back seed: %d)\n%!"
     w.Workload.name seed seconds (Bool.to_int traced) held_back_seed;
-  let times = ref [] and inst = ref None in
-  while
-    let n = List.length !times in
-    n < min_setups || (n < max_setups && List.fold_left ( +. ) 0. !times < setup_budget_s)
-  do
-    inst := None;
-    Gc.compact ();
-    let i, ns = Prof.elapsed (fun () -> w.Workload.setup ~seed) in
-    inst := Some i;
-    times := (float_of_int ns /. 1e9) :: !times
-  done;
+  let make = w.Workload.setup ~seed in
+  let inst = ref None in
+  let setups =
+    loop ~seconds:setup_seconds ~traced:false (fun r ->
+        inst := None;
+        Gc.compact ();
+        (* checks made during set-up are paused, as in the loop *)
+        let p0 = !Prof.paused in
+        let i, ns = Prof.elapsed make in
+        inst := Some i;
+        Workload.Samples.add r.op (float_of_int (ns - (!Prof.paused - p0)) /. 1e6))
+  in
   let inst = Option.get !inst in
-  let setup_s = quantile !times 50. in
-  Printf.printf "set-up: %d times, median %.6f s\n" (List.length !times) setup_s;
+  let run ~seconds ~traced = loop (inst.Workload.iterate ~traced) ~seconds ~traced in
+  let setup_s = pct setups `Op 50. /. 1e3 in
+  Printf.printf "set-up: %d times, median %.6f s over the %d in the fastest segments\n"
+    setups.run.op.n setup_s
+    (samples ~fast:true setups `Op).n;
   Printf.printf "op sequence digest: %s\n" inst.Workload.digest;
   Printf.printf "op: %s; aux: %s\n%!" w.Workload.op_name w.Workload.aux_name;
   (* warm-up: fill caches and finish lazy set-up before timing *)
-  ignore (loop inst ~seconds:(Float.min 1. (float_of_int seconds /. 10.)) ~traced:false);
+  ignore (run ~seconds:(Float.min 1. (float_of_int seconds /. 10.)) ~traced:false);
   if not traced then begin
-    let m = loop inst ~seconds:(float_of_int seconds) ~traced:false in
+    let m = run ~seconds:(float_of_int seconds) ~traced:false in
     report "run" m;
     let metrics = end_to_end ~setup_s m in
     List.iter print_metric metrics;
     print_named w m;
-    Printf.printf "  op_ms_p50 of each tenth:%s\n"
-      (String.concat ""
-         (List.init segments (fun k ->
-              let s, n = samples m `Op in
-              Printf.sprintf " %.4g" (Workload.Samples.percentile s ~lo:(n k) ~hi:(n (k + 1)) 50.))));
     let r = m.run in
+    let segments = Array.length m.marks - 1 in
+    Printf.printf "  op_ms_p50 of each tenth of the run:%s\n"
+      (String.concat ""
+         (List.init 10 (fun k ->
+              Printf.sprintf " %.4g"
+                (Workload.Samples.percentile r.op
+                   ~lo:m.marks.(k * segments / 10).op_n
+                   ~hi:m.marks.((k + 1) * segments / 10).op_n 50.))));
     print_endline (json ~correct:(r.failed = 0) ~attempted:r.attempted ~failed:r.failed metrics)
   end
   else begin
     let half = float_of_int seconds /. 2. in
-    let u = loop inst ~seconds:half ~traced:false in
-    let m = loop inst ~seconds:half ~traced:true in
+    let u = run ~seconds:half ~traced:false in
+    let m = run ~seconds:half ~traced:true in
     report "untraced" u;
     report "traced" m;
     Printf.printf "per-layer profile (wall clock, traced half):\n";

@@ -2,13 +2,14 @@
 """Result sets of the repository benchmark: record, spread, compare.
 
     python3 perfbench/sets.py record SET [--workloads a,b] [--seeds 1-10]
-                                     [--trace 0|1] [--seconds S]
+                                     [--trace 0|1]
     python3 perfbench/sets.py spread SET
     python3 perfbench/sets.py compare OLD NEW
 
 A set is a JSON-lines file with one run per line: its workload, seed,
 trace flag and result object.  `record' appends runs of
-perfbench/run.py, one per workload and seed.  `spread' prints, per
+perfbench/run.py, one per workload and seed, each of BENCHMARK.json's
+run_seconds.  `spread' prints, per
 (workload, metric), the median and quartiles over the set's runs and
 the quartile distance as a share of the median, against the metric's
 bound in BENCHMARK.json.  `compare' prints both sides' median and
@@ -53,14 +54,15 @@ def seeds_of(text):
 def record(argv):
     b, _ = spec()
     out, opts = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    if set(opts) - {"--workloads", "--seeds", "--trace"}:
+        sys.exit(__doc__)
     workloads = opts.get("--workloads", ",".join(w["name"] for w in b["workloads"]))
-    seconds = opts.get("--seconds", str(b["run_seconds"]))
     trace = opts.get("--trace", "0")
     for seed in seeds_of(opts.get("--seeds", "1-10")):
         for w in workloads.split(","):
             p = subprocess.run(
                 ["python3", "perfbench/run.py", "--workload", w, "--seed", str(seed),
-                 "--seconds", seconds, "--trace", trace],
+                 "--seconds", str(b["run_seconds"]), "--trace", trace],
                 stdout=subprocess.PIPE, text=True)
             lines = p.stdout.strip().splitlines()
             if p.returncode != 0 or not lines:

@@ -5,6 +5,7 @@ module Samples = struct
   type t = { mutable a : float array; mutable n : int }
 
   let create () = { a = Array.make 1024 0.; n = 0 }
+  let of_array a = { a; n = Array.length a }
 
   let add t v =
     if t.n = Array.length t.a then begin
@@ -70,7 +71,10 @@ type t = {
   op_name : string;
   aux_name : string;
   named : named list;
-  setup : seed:int -> instance;
+  setup : seed:int -> unit -> instance;
+      (* applied to the seed: generates the inputs and computes the
+         references the checks compare against, once and untimed;
+         applied to (): the program's set-up, timed as setup_s *)
 }
 
 (* The seed stream of one workload: the same seed gives the same
