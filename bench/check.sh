@@ -1,7 +1,9 @@
 #!/bin/sh
 # Smoke gate for the bench harness: build, run the test suites, check
-# the observability pipeline, then run the experiment sections (quick
-# mode skips E10 + microbenches).
+# the observability pipeline, run the experiment sections (quick mode
+# skips E10 + microbenches), then run each workload of the repository
+# benchmark (perfbench/) briefly and require its own output checks to
+# pass.
 set -e
 cd "$(dirname "$0")/.."
 dune build
@@ -18,3 +20,10 @@ dune exec bench/main.exe -- obs-smoke
 dune exec bench/main.exe -- guide-smoke
 dune exec bench/main.exe -- doc-lint
 dune exec bench/main.exe -- quick
+for w in bugfix fanin corpus recover; do
+  last=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  case "$last" in
+    *'"correct": true'*) echo "perfbench $w: correct" ;;
+    *) echo "perfbench $w FAIL: $last"; exit 1 ;;
+  esac
+done

@@ -1211,9 +1211,9 @@ let draw_stats t =
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore
 
-   The WAL's structural capture: everything a [t] holds that boot does
-   not deterministically recreate — buffers, windows, columns, the
-   interaction registers — serialized with lib/trace's Codec.  Buffer
+   The WAL's structural capture: everything a [t] holds but its hooks
+   and executor — buffers, windows, columns, the interaction registers
+   — serialized with lib/trace's Codec.  Buffer
    text is cut at rope leaves and handed to [put] so unchanged leaves
    are shared across snapshots by content digest.  Undo/redo logs are
    deliberately not captured: a recovered session starts with clean

@@ -168,14 +168,14 @@ val report : t -> string -> unit
 
 (** {1 Snapshot / restore}
 
-    Durability support (lib/wal): capture and rebuild everything a
-    session holds that boot does not deterministically recreate —
-    buffers, windows, columns, and the interaction registers (mouse,
+    Durability support (lib/wal): capture and rebuild the UI state —
+    buffers, windows (the boot screen's included: recovery does not
+    reopen them), columns, and the interaction registers (mouse,
     selection, drag, snarf).  Buffer text is cut at rope leaves and
     stored through [put] under content digests, so leaves unchanged
     since the previous snapshot are shared.  Hooks, the executor, and
-    undo/redo history are not captured: a restored session keeps its
-    boot-installed hooks and starts with clean history. *)
+    undo/redo history are not captured: a restored session keeps the
+    hooks its boot installed and starts with clean history. *)
 
 (** [snapshot t ~put] serializes the UI state; [put chunk] must return
     a stable key for [chunk]. *)

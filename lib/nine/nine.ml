@@ -357,10 +357,12 @@ module Pool = struct
   let server p = p.srv
   let fid_count p = Server.fid_count p.srv
 
+  let rpcs_name id = Printf.sprintf "nine.conn.%d.rpcs" id
+
   let attach ?uname p =
     let sconn = Server.connection ?uname p.srv in
     let id = Server.conn_id sconn in
-    let rpcs = Trace.counter (Printf.sprintf "nine.conn.%d.rpcs" id) in
+    let rpcs = Trace.counter (rpcs_name id) in
     let dispatch w ~tag ~len ~req msg =
       Trace.incr rpcs;
       Server.conn_dispatch p.srv sconn w ~tag ~len ~req msg
@@ -378,6 +380,9 @@ module Pool = struct
     let p = c.c_pool in
     Sched.detach c.sc;
     Hashtbl.remove p.pconns (conn_id c);
+    (* the counter goes with its connection, or a churning fleet grows
+       the registry that every window roll walks *)
+    Trace.unregister (rpcs_name (conn_id c));
     Server.disconnect p.srv c.sconn
 
   let submit c packet = Sched.submit c.sc packet

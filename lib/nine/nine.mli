@@ -207,11 +207,13 @@ module Pool : sig
   (** The underlying server (stats, fid accounting). *)
   val server : t -> Server.t
 
-  (** Open a connection and add it at the back of the scheduler ring. *)
+  (** Open a connection and add it at the back of the scheduler ring.
+      Its requests are counted in [nine.conn.<id>.rpcs]. *)
   val attach : ?uname:string -> t -> conn
 
-  (** Remove the connection from the ring and release its fids.  Its
-      queued requests are dropped unserved. *)
+  (** Remove the connection from the ring, release its fids and drop its
+      [nine.conn.<id>.rpcs] counter.  Its queued requests are dropped
+      unserved. *)
   val disconnect : conn -> unit
 
   val conn_id : conn -> int

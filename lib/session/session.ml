@@ -130,7 +130,7 @@ let logged t op f =
   | _ -> f ()
 
 (* The shell half of a snapshot: the global variables (functions and
-   natives are recreated by boot). *)
+   natives are recreated by boot's wire phase). *)
 let rc_snapshot sh =
   let b = Buffer.create 256 in
   Codec.w_list b
@@ -168,8 +168,19 @@ let install_wal t a =
         | Some a when Wal.recording a -> Wal.log a (Wal.O_event ev)
         | _ -> ())
 
-let boot ?w ?h ?place ?(remote = false) ?fault ?max_queue ?batch_limit
-    ?wal:wal_store ?checkpoint_every () =
+(* ------------------------------------------------------------------ *)
+(* Boot, in two phases
+
+   [wire] builds what a snapshot cannot hold: the alert rules, shell
+   natives, the profile's binds and function, the planted process, the
+   /mnt/help server and pool, and the CPU link.  It also installs the
+   corpus, which the snapshot does hold, because the profile,
+   [plant_crash] and [Cpu.connect] read it.  [populate] builds the rest
+   of what a snapshot holds: the demo binary's files in the RAM tree
+   and the boot-screen windows.  Boot runs both; recovery runs [wire]
+   and restores a snapshot where boot would run [populate]. *)
+
+let wire ?w ?h ?place ~remote ?fault ?max_queue ?batch_limit () =
   (* each session starts a fresh observability ledger (and a fresh
      logical trace clock), so scripted sessions trace identically; the
      stock alert rules watch the serving layer from the first RPC *)
@@ -214,18 +225,12 @@ let boot ?w ?h ?place ?(remote = false) ?fault ?max_queue ?batch_limit
       ~wal:(fun () -> !wal_ref)
       help
   in
-  (* run the user's profile *)
+  (* run the user's profile: a snapshot keeps the shell's globals, not
+     the binds and the function it makes *)
   let _ = Rc.run sh ~cwd:Corpus.home (". " ^ Corpus.home ^ "/lib/profile") in
-  (* build the demo binary so the debugger has a symbol table *)
-  let _ = Rc.run sh ~cwd:Corpus.src_dir "mk" in
   plant_crash ns db;
-  (* boot screen: the Boot window and the tools, right-hand column *)
-  let boot_win = Help.new_window help ~body:boot_body () in
-  Hwin.set_tag boot_win "help/Boot";
-  List.iter
-    (fun tool -> ignore (Help.open_file help ~dir:"/" ("/help/" ^ tool ^ "/stf")))
-    [ "edit"; "cbr"; "db"; "mail"; "guide" ];
-  (* optionally, run applications on a CPU server over the 9P link *)
+  (* optionally, run applications on a CPU server over the 9P link; it
+     imports the terminal directories that exist now *)
   let cpu =
     if not remote then None
     else begin
@@ -249,9 +254,23 @@ let boot ?w ?h ?place ?(remote = false) ?fault ?max_queue ?batch_limit
       Some cpu
     end
   in
-  let t =
-    { ns; sh; help; db; srv; pool; metrics; cpu; wal = wal_ref; in_op = false }
-  in
+  { ns; sh; help; db; srv; pool; metrics; cpu; wal = wal_ref; in_op = false }
+
+let populate t =
+  (* build the demo binary so the debugger has a symbol table *)
+  let _ = Rc.run t.sh ~cwd:Corpus.src_dir "mk" in
+  (* boot screen: the Boot window and the tools, right-hand column *)
+  let boot_win = Help.new_window t.help ~body:boot_body () in
+  Hwin.set_tag boot_win "help/Boot";
+  List.iter
+    (fun tool ->
+      ignore (Help.open_file t.help ~dir:"/" ("/help/" ^ tool ^ "/stf")))
+    [ "edit"; "cbr"; "db"; "mail"; "guide" ]
+
+let boot ?w ?h ?place ?(remote = false) ?fault ?max_queue ?batch_limit
+    ?wal:wal_store ?checkpoint_every () =
+  let t = wire ?w ?h ?place ~remote ?fault ?max_queue ?batch_limit () in
+  populate t;
   (match wal_store with
   | None -> ()
   | Some store ->
@@ -529,7 +548,7 @@ let apply t op =
   | Wal.O_remove p -> remove_file t p
   | Wal.O_mkdir p -> mkdir t p
 
-let recover ?w ?h ?place ?remote ?fault ?max_queue ?batch_limit
+let recover ?w ?h ?place ?(remote = false) ?fault ?max_queue ?batch_limit
     ?checkpoint_every store =
   let sn =
     match Wal.latest_snapshot store with
@@ -539,12 +558,11 @@ let recover ?w ?h ?place ?remote ?fault ?max_queue ?batch_limit
   (* A journal gap means a dispatch record was lost before the sink
      persisted it; recovery refuses rather than silently diverging. *)
   Wal.verify_journal store;
-  (* 1. re-run boot: mounts, tools, profile, mk — everything the
-     snapshot deliberately does not capture *)
-  let t = boot ?w ?h ?place ?remote ?fault ?max_queue ?batch_limit () in
+  (* 1. wire: rebuild what the snapshot does not hold *)
+  let t = wire ?w ?h ?place ~remote ?fault ?max_queue ?batch_limit () in
   let a = Wal.attach ?checkpoint_every ~recording:false store in
   let get = Wal.chunk_get store in
-  (* 2. structural restore over the booted skeleton *)
+  (* 2. restore in place of populate: the RAM tree and the windows *)
   Vfs.restore t.ns ~get (Wal.sn_vfs sn);
   rc_restore t.sh (Wal.sn_rc sn);
   Help.restore t.help ~get (Wal.sn_help sn);

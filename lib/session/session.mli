@@ -36,6 +36,14 @@ val crash_pid : int
     an empty span ring — two identical scripted sessions produce
     identical [/mnt/help/trace] logs.
 
+    Boot runs in two phases.  {e Wire} builds what a snapshot cannot
+    hold — the alert rules, the namespace's mounts, every shell native,
+    the profile's binds and function, the planted process, the
+    [/mnt/help] server and pool, and the CPU link — and installs the
+    corpus those read.  {e Populate} builds the rest of what a snapshot
+    holds: the demo binary [mk] compiles (RAM-tree files) and the
+    boot-screen windows.  {!recover} runs only wire.
+
     [boot ~remote:true] additionally connects a CPU server and routes
     every external command there — the paper's "invisible call to the
     CPU server".  The session behaves identically; only the 9P link
@@ -75,12 +83,15 @@ val boot :
     registry.  No-op without a WAL attachment. *)
 val checkpoint : t -> unit
 
-(** Rebuild a session from a WAL store after a crash: re-run boot with
-    the same parameters, restore the latest snapshot, then replay the
-    log tail in replay mode — each record's clock stamp is asserted
-    against the logical clock, so divergence fails loudly rather than
-    silently.  A torn final record (the crash landed mid-write) is
-    tolerated and counted; a journal-sidecar gap raises {!Wal.Corrupt}.
+(** Rebuild a session from a WAL store after a crash: check the
+    dispatch journal, run boot's wire phase with the same parameters,
+    restore the latest snapshot in place of the populate phase (the RAM
+    tree, the shell's globals, the windows, then the trace ledger after
+    one warm-up repaint), and replay the log tail in replay mode — each
+    record's clock stamp is asserted against the logical clock, so
+    divergence fails loudly rather than silently.  [mk] does not run.
+    A torn final record (the crash landed mid-write) is tolerated and
+    counted; a journal-sidecar gap raises {!Wal.Corrupt}.
     The recovered session resumes recording into the same store.  The
     screens, [/mnt/help/stats], and the trace clock of the recovered
     session are byte-identical to an uninterrupted run's (experiment

@@ -147,6 +147,8 @@ let observe h v =
 
 let histogram_stats h = (h.h_count, h.h_sum, h.h_min, h.h_max)
 
+let unregister name = Hashtbl.remove registry name
+
 (* Percentile over a raw bucket array: the upper bound of the bucket
    holding the rank, clamped to [bmax] (the caller's exact observed
    maximum, or the highest occupied bucket's bound for window deltas).

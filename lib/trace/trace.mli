@@ -83,6 +83,13 @@ val percentile : histogram -> float -> int
 
 (** {1 Registry snapshot} *)
 
+(** Drop the instrument registered as [name], if any; a later lookup of
+    [name] registers a fresh one.  For instruments named after something
+    that goes away, such as a connection: every registry walk
+    ({!reset}, {!stats_text}, each window roll) pays for every
+    registered instrument. *)
+val unregister : string -> unit
+
 (** Every registered instrument, one metric per line, [key value],
     sorted by key.  Histograms expand to [.count]/[.sum]/[.min]/[.max]
     lines.  This is the content of [/mnt/help/stats]. *)

@@ -607,8 +607,8 @@ let read_all h =
    content digest and returns the key; the snapshot records only the
    keys.  Unchanged chunks therefore cost nothing across consecutive
    snapshots (the WAL's content-addressed store deduplicates them).
-   The mount table is NOT captured: recovery re-runs [Session.boot],
-   which recreates every mount, then restores the RAM tree over it. *)
+   The mount table is NOT captured: recovery runs boot's wire phase,
+   which recreates every mount, then restores the RAM tree whole. *)
 
 let chunk_size = 8192
 

@@ -145,8 +145,10 @@ val read_all : handle -> string
     handed to [put], which stores each chunk under a content digest and
     returns the key; the snapshot holds only keys, so chunks unchanged
     since the previous snapshot cost nothing.  The mount table is not
-    captured — recovery re-runs the boot sequence, which recreates
-    every mount, then restores the RAM tree over it. *)
+    captured: recovery runs boot's wire phase, which recreates every
+    mount, then restores the RAM tree whole — so the files boot's
+    populate phase writes (the compiled demo binary) come only from the
+    snapshot. *)
 
 (** [snapshot t ~put] serializes the RAM tree; [put chunk] must return
     a stable key for [chunk] (typically its digest). *)

@@ -6,9 +6,11 @@
     recorded as one checksummed {!op} record stamped with the logical
     clock, and the whole session is a pure function of the boot
     parameters plus the op sequence.  Recovery therefore never diffs
-    state: it re-runs boot, restores the latest snapshot, and replays
-    the log tail, asserting at every record that the clock agrees with
-    the stamp laid down by the original run.
+    state: it runs boot's wire phase (what no snapshot can hold:
+    closures, mounts, the shell's natives), restores the latest snapshot
+    in place of boot's populate phase, and replays the log tail,
+    asserting at every record that the clock agrees with the stamp laid
+    down by the original run.
 
     A {!store} is the durable half: the append-only log, the
     content-addressed chunk store shared by all snapshots, the snapshot

@@ -434,6 +434,28 @@ let scheduler_tests =
         check_int "gauge back to baseline" active0
           (counter_value "nine.conn.active");
         check_int "fids back to baseline" fid0 (Nine.Server.fid_count s.srv));
+    Alcotest.test_case "the registry returns to its size after churn" `Quick
+      (fun () ->
+        let s = Session.boot () in
+        let churn round =
+          List.iter Nine.Pool.disconnect
+            (List.init 5 (fun i ->
+                 fst
+                   (Session.attach_client
+                      ~uname:(Printf.sprintf "churn%d.%d" round i)
+                      s)))
+        in
+        (* the first round registers whatever a client's first RPCs
+           register; every later seat gets a new connection id *)
+        churn 0;
+        let size () =
+          List.length (String.split_on_char '\n' (Trace.stats_text ()))
+        in
+        let size0 = size () in
+        for round = 1 to 4 do
+          churn round
+        done;
+        check_int "no instrument outlives its connection" size0 (size ()));
   ]
 
 let () =

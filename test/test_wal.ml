@@ -1,5 +1,6 @@
 (* Durability: op-log round trips, torn tails, journal gaps, snapshot
-   chunk sharing, crash recovery that converges byte-for-byte, and the
+   chunk sharing, crash recovery that converges byte-for-byte (the
+   paper's bug-fix session among the recovered scripts), and the
    two boot-hygiene regressions (index generation bumps, Trace.reset
    clearing window baselines) that motivated the subsystem. *)
 
@@ -177,6 +178,16 @@ let recovery_converges () =
       check_bool (Printf.sprintf "stats converge at cut %d" pos) true s_ok)
     [ List.nth cuts 1; mid ]
 
+(* The last scripted cut: every scripted op survives and nothing is
+   re-driven.  The log goes on past it with [finish]'s own draw, which
+   the recovered session must not hold. *)
+let recovery_at_last_scripted_cut () =
+  let _, cuts, _, _ = Lazy.force reference in
+  let pos = List.nth cuts (List.length cuts - 1) in
+  let d_ok, s_ok = recover_from_cut pos in
+  check_bool "screen converges at the last scripted cut" true d_ok;
+  check_bool "stats converge at the last scripted cut" true s_ok
+
 let recovery_refuses_journal_gap () =
   let store, _, _, _ = Lazy.force reference in
   let crashed = Wal.truncate_log store (Wal.log_pos store) in
@@ -211,14 +222,17 @@ let wal_files_in_band () =
 (* Property: a crash anywhere in the log recovers and converges.  A
    cut before boot's initial checkpoint models a crash during boot:
    nothing durable exists yet, and recover must refuse with Corrupt
-   rather than invent a session. *)
+   rather than invent a session.  Cuts stop at the last scripted cut:
+   [finish]'s draw is logged after it, and a session recovered from
+   beyond that point already holds the draw the comparison repeats. *)
 
 let prop_any_cut_recovers =
   QCheck.Test.make ~name:"recovery converges from any cut position" ~count:8
     (QCheck.make QCheck.Gen.(int_range 0 1_000_000))
     (fun r ->
-      let store, _, _, _ = Lazy.force reference in
-      let pos = r mod (Wal.log_pos store + 1) in
+      let store, cuts, _, _ = Lazy.force reference in
+      let last_cut = List.nth cuts (List.length cuts - 1) in
+      let pos = r mod (last_cut + 1) in
       let first =
         match List.rev (Wal.snapshots store) with
         | sn :: _ -> Wal.sn_log_pos sn
@@ -231,6 +245,94 @@ let prop_any_cut_recovers =
       else
         let d_ok, s_ok = recover_from_cut pos in
         d_ok && s_ok)
+
+(* ------------------------------------------------------------------ *)
+(* Recovery over the paper's bug-fix session (Figures 4-12).  Its
+   gestures run rc, `uses *.c', Put! and mk, so the recovered session
+   must hold every file and window boot made before the first snapshot.
+   The file:line addresses are read from a namespace of their own before
+   any logged boot: Corpus.line_of counts on the global vfs counters,
+   which the logged boot then resets.  The stack and uses windows are
+   found by tag text, because a recovered session has no handle on the
+   windows the crashed one made. *)
+
+let bugfix_gestures =
+  lazy
+    (let ns = Vfs.create () in
+     Corpus.install ns;
+     let src = Corpus.src_dir in
+     let addr file needle =
+       file ^ ":" ^ string_of_int (Corpus.line_of ns (src ^ "/" ^ file) needle)
+     in
+     let strlen_call = addr "text.c" "strlen((char*)s)"
+     and errs_call = addr "exec.c" "errs((uchar*)n)"
+     and init_n = addr "help.c" "n = \"a test string\""
+     and clear_n = addr "exec.c" "n = 0;" in
+     let w = Session.win in
+     let tagged sub t =
+       List.find
+         (fun win -> Hstr.contains (Hwin.tag_text win) ~sub)
+         (Help.windows t.Session.help)
+     in
+     let stack = tagged " stack Close!" and uses = tagged " uses " in
+     [
+       (fun t -> Session.exec_word t (w t "/help/mail/stf") "headers");
+       (fun t -> Session.point_at t (w t Corpus.mbox_path) "2 sean");
+       (fun t -> Session.exec_word t (w t "/help/mail/stf") "messages");
+       (fun t -> Session.point_at t (w t "From") "176153" ~off:2);
+       (fun t -> Session.exec_word t (w t "/help/db/stf") "stack");
+       (fun t -> Session.drag_window t (stack t) ~col:0 ~y:1);
+       (fun t -> Session.point_at t (stack t) strlen_call);
+       (fun t -> Session.exec_word t (w t "/help/edit/stf") "Open");
+       (fun t -> Session.exec_tag_word t (w t (src ^ "/text.c")) "Close!");
+       (fun t -> Session.point_at t (stack t) errs_call);
+       (fun t -> Session.exec_word t (w t "/help/edit/stf") "Open");
+       (fun t -> Session.point_at t (w t (src ^ "/exec.c")) "(uchar*)n)" ~off:8);
+       (fun t -> Session.exec_sweep t (w t "/help/cbr/stf") "uses *.c");
+       (fun t -> Session.point_at t (uses t) init_n);
+       (fun t -> Session.exec_word t (w t "/help/edit/stf") "Open");
+       (fun t -> Session.point_at t (uses t) clear_n);
+       (fun t -> Session.exec_word t (w t "/help/edit/stf") "Open");
+       (fun t ->
+         Session.sweep_and_chord_cut t (w t (src ^ "/exec.c")) Demo.offending_line);
+       (fun t -> Session.exec_tag_word t (w t (src ^ "/exec.c")) "Put!");
+       (fun t -> Session.exec_word t (w t "/help/cbr/stf") "mk");
+     ])
+
+(* Each op is a gesture and the repaint after it; the logged repaint is
+   where a due checkpoint is taken. *)
+let bugfix_recovers ~remote ~checkpoint_every () =
+  warm ();
+  let ops =
+    List.map
+      (fun g t ->
+        g t;
+        ignore (Session.screen t))
+      (Lazy.force bugfix_gestures)
+  in
+  let store = Wal.create_store () in
+  let t = Session.boot ~h:48 ~remote ~wal:store ~checkpoint_every () in
+  let cuts =
+    List.map
+      (fun op ->
+        op t;
+        Wal.log_pos store)
+      ops
+  in
+  let d_ref, s_ref = finish t in
+  List.iteri
+    (fun i pos ->
+      let r =
+        Session.recover ~h:48 ~remote ~checkpoint_every
+          (Wal.truncate_log store pos)
+      in
+      List.iteri (fun j op -> if j > i then op r) ops;
+      let d, s = finish r in
+      check_bool (Printf.sprintf "screen converges after op %d" (i + 1)) true
+        (d = d_ref);
+      check_bool (Printf.sprintf "stats converge after op %d" (i + 1)) true
+        (s = s_ref))
+    cuts
 
 (* ------------------------------------------------------------------ *)
 (* Satellite regressions *)
@@ -307,11 +409,23 @@ let () =
         [
           Alcotest.test_case "crash+recover converges byte-for-byte" `Slow
             recovery_converges;
+          Alcotest.test_case "crash at the last scripted cut converges" `Slow
+            recovery_at_last_scripted_cut;
           Alcotest.test_case "recovery refuses a journal gap" `Slow
             recovery_refuses_journal_gap;
           Alcotest.test_case "wal/{stats,checkpoint} served in-band" `Slow
             wal_files_in_band;
         ] );
+      ( "bugfix-recovery",
+        List.map
+          (fun (remote, checkpoint_every) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s, checkpoint every %d"
+                 (if remote then "remote" else "local")
+                 checkpoint_every)
+              `Slow
+              (bugfix_recovers ~remote ~checkpoint_every))
+          [ (false, 6); (false, 0); (true, 6); (true, 0) ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest [ prop_any_cut_recovers ] );
       ( "regressions",
