@@ -416,7 +416,7 @@ let () =
           Alcotest.test_case "wal/{stats,checkpoint} served in-band" `Slow
             wal_files_in_band;
         ] );
-      ( "bugfix-recovery",
+      ( "bugfix",
         List.map
           (fun (remote, checkpoint_every) ->
             Alcotest.test_case
