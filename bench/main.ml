@@ -293,30 +293,37 @@ let e5_placement () =
 (* ------------------------------------------------------------------ *)
 (* E6: code size                                                       *)
 
-let count_lines path =
+let read_lines path =
   match open_in path with
-  | exception Sys_error _ -> 0
+  | exception Sys_error _ -> []
   | ic ->
-      let n = ref 0 in
+      let lines = ref [] in
       (try
          while true do
-           ignore (input_line ic);
-           incr n
+           lines := input_line ic :: !lines
          done
        with End_of_file -> close_in ic);
-      !n
+      List.rev !lines
 
-let dir_loc dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> None
-  | entries ->
-      Some
-        (Array.fold_left
-           (fun acc f ->
-             if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
-             then acc + count_lines (Filename.concat dir f)
-             else acc)
-           0 entries)
+(* an exported value: a [val] line of an interface *)
+let is_val_line line =
+  let line = String.trim line in
+  String.length line > 4 && String.sub line 0 4 = "val "
+
+(* (lines of .ml and .mli, val lines of .mli) in one directory *)
+let dir_size dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.fold_left
+       (fun (loc, vals) f ->
+         let path = Filename.concat dir f in
+         if Filename.check_suffix f ".ml" then
+           (loc + List.length (read_lines path), vals)
+         else if Filename.check_suffix f ".mli" then
+           let lines = read_lines path in
+           ( loc + List.length lines,
+             vals + List.length (List.filter is_val_line lines) )
+         else (loc, vals))
+       (0, 0)
 
 let e6_code_size () =
   section "E6" "code size: \"It is also smaller: 4300 lines of C.\"";
@@ -332,29 +339,31 @@ let e6_code_size () =
   match root with
   | None -> row "(source tree not reachable from the working directory; skipped)\n"
   | Some root ->
-      let libs =
-        [ ("core (help itself)", "lib/core"); ("srv (/mnt/help)", "lib/srv");
-          ("rope", "lib/rope"); ("regexp", "lib/regexp"); ("vfs", "lib/vfs");
-          ("nine (9P)", "lib/nine"); ("frame", "lib/frame");
-          ("shell (rc)", "lib/shell"); ("cbr (C browser)", "lib/cbr");
-          ("db (debugger)", "lib/db"); ("mail", "lib/mail");
-          ("corpus", "lib/corpus"); ("session", "lib/session");
-          ("metrics", "lib/metrics"); ("baseline", "lib/baseline");
-          ("popup (measured baseline)", "lib/popup"); ("cpu (CPU server)", "lib/cpu") ]
+      let lib = Filename.concat root "lib" in
+      let labels =
+        [ ("core", "core (help itself)"); ("srv", "srv (/mnt/help)");
+          ("nine", "nine (9P)"); ("shell", "shell (rc)");
+          ("cbr", "cbr (C browser)"); ("db", "db (debugger)");
+          ("popup", "popup (measured baseline)"); ("cpu", "cpu (CPU server)") ]
       in
-      row "%-22s %8s\n" "component" "LoC";
-      let core_total = ref 0 and total = ref 0 in
+      let dirs =
+        Sys.readdir lib |> Array.to_list |> List.sort compare
+        |> List.filter (fun d -> Sys.is_directory (Filename.concat lib d))
+      in
+      row "%-30s %8s %8s\n" "component" "LoC" "vals";
+      let total = ref 0 and vals = ref 0 and core_total = ref 0 in
       List.iter
-        (fun (name, dir) ->
-          match dir_loc (Filename.concat root dir) with
-          | Some n ->
-              row "%-22s %8d\n" name n;
-              total := !total + n;
-              if dir = "lib/core" || dir = "lib/srv" then
-                core_total := !core_total + n
-          | None -> row "%-22s %8s\n" name "?")
-        libs;
-      row "%-22s %8d\n" "TOTAL (lib/)" !total;
+        (fun d ->
+          let loc, v = dir_size (Filename.concat lib d) in
+          row "%-30s %8d %8d\n"
+            (Option.value ~default:d (List.assoc_opt d labels))
+            loc v;
+          total := !total + loc;
+          vals := !vals + v;
+          if d = "core" || d = "srv" then core_total := !core_total + loc)
+        dirs;
+      row "%-30s %8d\n" "TOTAL (lib/)" !total;
+      row "%-30s %17d\n" "exported values (lib/*/*.mli)" !vals;
       row
         "the interface proper (core+srv) is %d lines vs the paper's 4300 of C;\n"
         !core_total;
@@ -890,9 +899,9 @@ let search_smoke () =
 
 (* ------------------------------------------------------------------ *)
 (* trace-smoke: the observability gate.  Boot a session, read the
-   ledger back through the paper's own interface, replay the figure
-   session, and validate the Chrome export.  Exits nonzero on any
-   failure so check.sh can gate on it. *)
+   ledger back through the paper's own interface, and replay the figure
+   session, which must record spans.  Exits nonzero on any failure so
+   check.sh can gate on it. *)
 
 let trace_smoke () =
   let failed = ref [] in
@@ -932,8 +941,6 @@ let trace_smoke () =
   ignore (Demo.run ~keep_screens:false ());
   let spans, _ = Trace.drain () in
   check "figure replay produced spans" (spans <> []);
-  check "chrome export is well-formed JSON"
-    (Jsonv.well_formed (Trace.spans_json spans));
   match List.rev !failed with
   | [] ->
       Printf.printf "trace-smoke: ok (%d spans from the figure replay)\n"
@@ -959,7 +966,7 @@ let fault_smoke () =
   let clean_dumps =
     List.map (fun s -> (s.Demo.s_label, s.Demo.s_dump)) clean.Demo.steps
   in
-  let clean_fids = Nine.Server.fid_count clean.Demo.session.Session.srv in
+  let clean_fids = Nine.Pool.fid_count clean.Demo.session.Session.pool in
   let config = { Fault.default with seed = 0xbead; rate = 0.1 } in
   let faulty =
     match Demo.run ~fault:config () with
@@ -980,7 +987,7 @@ let fault_smoke () =
       check "every figure screen matches the fault-free replay"
         (clean_dumps = faulty_dumps);
       check "no leaked fids"
-        (Nine.Server.fid_count faulty.Demo.session.Session.srv = clean_fids);
+        (Nine.Pool.fid_count faulty.Demo.session.Session.pool = clean_fids);
       let injected =
         Option.value ~default:0 (Trace.find_value "nine.fault.injected")
       in
@@ -1035,7 +1042,7 @@ type load_outcome = {
 
 let pool_load ?fault () =
   let s = Session.boot () in
-  let baseline = Nine.Server.fid_count s.Session.srv in
+  let baseline = Nine.Pool.fid_count s.Session.pool in
   let wrap = Option.map Fault.wrap fault in
   let max_retries = Option.map (fun _ -> 8) fault in
   let n = 8 in
@@ -1084,7 +1091,7 @@ let pool_load ?fault () =
     l_ops = !ops;
     l_rpcs = rpcs;
     l_spread = spread;
-    l_leaked = Nine.Server.fid_count s.Session.srv - baseline;
+    l_leaked = Nine.Pool.fid_count s.Session.pool - baseline;
   }
 
 let e12_fault_config = { Fault.default with seed = 0xca11; rate = 0.1 }
@@ -1174,97 +1181,14 @@ let pool_smoke () =
    coalesced wire batches and chained through the scheduler's
    continuations so thousands are in flight at once.  Reported:
    RPCs/sec, p99 of the nine.rpc.us histogram (logical microseconds),
-   fairness spread, minor allocation and major collections per RPC,
-   and a before/after against a replica of the PR 5 Pool.  Every
-   client's concatenated reads must equal the single-client run's,
-   byte for byte. *)
-
-(* PR 5's scheduler, rebuilt here so the before/after numbers come
-   from one binary: list queues with O(n) appends, a List.nth ring
-   scan per served request, one request per step, a decode at submit
-   and another inside the dispatch (Server.conn_rpc).  It runs on the
-   current server core, so if anything this flatters the old design —
-   the real PR 5 also paid a per-request fid fold and two
-   Buffer.creates per encoded message. *)
-module Old_pool = struct
-  type entry = { e_ticket : int; e_tag : int; e_packet : string }
-
-  type conn = {
-    sconn : Nine.Server.conn;
-    mutable queue : entry list;
-    outcomes : (int, string) Hashtbl.t;
-    mutable next_ticket : int;
-  }
-
-  type t = { srv : Nine.Server.t; mutable conns : conn list; mutable rr : int }
-
-  let create fs = { srv = Nine.Server.create fs; conns = []; rr = 0 }
-
-  let attach p =
-    let c =
-      { sconn = Nine.Server.connection ~uname:"old" p.srv; queue = [];
-        outcomes = Hashtbl.create 8; next_ticket = 0 }
-    in
-    p.conns <- p.conns @ [ c ];
-    c
-
-  let submit c packet =
-    let tag, _ = Nine.decode_t packet in
-    let ticket = c.next_ticket in
-    c.next_ticket <- ticket + 1;
-    c.queue <- c.queue @ [ { e_ticket = ticket; e_tag = tag; e_packet = packet } ];
-    ticket
-
-  (* The server now encodes replies through a reused scratch writer, so
-     driving it from here would silently credit the old design with the
-     new codec.  PR 5 built every reply through two fresh Buffers (body,
-     then frame); rebuild the reply that way so the replica pays the
-     Buffer churn it actually paid. *)
-  let reframe reply =
-    let body = Buffer.create 64 in
-    Buffer.add_substring body reply 7 (String.length reply - 7);
-    let s = Buffer.contents body in
-    let b = Buffer.create (16 + String.length s) in
-    let u8 v = Buffer.add_char b (Char.chr (v land 0xff)) in
-    let u16 v = u8 v; u8 (v lsr 8) in
-    let u32 v = u16 v; u16 (v lsr 16) in
-    u32 (7 + String.length s);
-    u8 (Char.code reply.[4]);
-    u16 (Char.code reply.[5] lor (Char.code reply.[6] lsl 8));
-    Buffer.add_string b s;
-    Buffer.contents b
-
-  let step p =
-    let n = List.length p.conns in
-    let rec find i =
-      if i >= n then None
-      else
-        let idx = (p.rr + i) mod n in
-        let c = List.nth p.conns idx in
-        match c.queue with
-        | [] -> find (i + 1)
-        | e :: rest -> Some (idx, c, e, rest)
-    in
-    if n = 0 then false
-    else
-      match find 0 with
-      | None -> false
-      | Some (idx, c, e, rest) ->
-          c.queue <- rest;
-          p.rr <- (idx + 1) mod n;
-          ignore e.e_tag;
-          let reply = reframe (Nine.Server.conn_rpc p.srv c.sconn e.e_packet) in
-          Hashtbl.replace c.outcomes e.e_ticket reply;
-          true
-
-  let run p = while step p do () done
-end
+   fairness spread, and minor allocation and major collections per
+   RPC.  Every client's concatenated reads must equal the
+   single-client run's, byte for byte. *)
 
 (* The per-client script, built once against a booted session: raw
    frames with fixed tags and fids (fid tables are per-connection, so
-   every client can use the same ones).  Returned both as coalesced
-   batch buffers (for Pool.feed) and as individual frames (for the
-   old replica, which has no batching). *)
+   every client can use the same ones), coalesced into wire batches
+   for Pool.feed. *)
 let e13_script s =
   let index = Vfs.read_file s.Session.ns "/mnt/help/index" in
   let w =
@@ -1298,12 +1222,8 @@ let e13_script s =
     ]
   in
   let encode (tag, m) = Nine.encode_t ~tag m in
-  let batches =
-    Array.of_list
-      (List.map (fun b -> String.concat "" (List.map encode b)) batches_msgs)
-  in
-  let frames = List.map encode (List.concat batches_msgs) in
-  (batches, frames)
+  Array.of_list
+    (List.map (fun b -> String.concat "" (List.map encode b)) batches_msgs)
 
 let e13_rpcs_per_client = 21
 
@@ -1367,57 +1287,6 @@ let e13_fleet pool ~clients ~batches =
     f_screens = Array.map Buffer.contents screens;
   }
 
-(* The same fleet through the PR 5 replica: no continuations there, so
-   concurrency is phased — every client submits its k-th request, the
-   ring drains, repeat.  Same requests, same total work. *)
-let e13_fleet_old srv_fs ~clients ~frames =
-  let p = Old_pool.create srv_fs in
-  let conns = Array.init clients (fun _ -> Old_pool.attach p) in
-  let tickets = Array.make clients [] in
-  let g0 = Gc.quick_stat () in
-  let t0 = Sys.time () in
-  List.iter
-    (fun frame ->
-      Array.iteri
-        (fun i c -> tickets.(i) <- Old_pool.submit c frame :: tickets.(i))
-        conns;
-      Old_pool.run p)
-    frames;
-  let secs = Sys.time () -. t0 in
-  let g1 = Gc.quick_stat () in
-  let screens =
-    Array.mapi
-      (fun i c ->
-        let b = Buffer.create 256 in
-        List.iter
-          (fun t ->
-            match Hashtbl.find_opt c.Old_pool.outcomes t with
-            | Some r -> (
-                match Nine.decode_r r with
-                | _, Nine.Rread { data } -> Buffer.add_string b data
-                | _ -> ())
-            | None -> ())
-          (List.rev tickets.(i));
-        b)
-      conns
-  in
-  let serveds = Array.map (fun c -> Nine.Server.conn_served c.Old_pool.sconn) conns in
-  let rpcs = Array.fold_left ( + ) 0 serveds in
-  let spread =
-    let mn = Array.fold_left min serveds.(0) serveds in
-    let mx = Array.fold_left max serveds.(0) serveds in
-    if mn = 0 then infinity else float_of_int mx /. float_of_int mn
-  in
-  Array.iter (fun c -> Nine.Server.disconnect p.Old_pool.srv c.Old_pool.sconn) conns;
-  {
-    f_rpcs = rpcs;
-    f_secs = secs;
-    f_minor = g1.Gc.minor_words -. g0.Gc.minor_words;
-    f_majors = g1.Gc.major_collections - g0.Gc.major_collections;
-    f_spread = spread;
-    f_screens = Array.map Buffer.contents screens;
-  }
-
 let rpc_p99 () = Trace.percentile (Trace.histogram "nine.rpc.us") 99.
 
 (* Codec buffer churn, before/after: the old framing built every
@@ -1458,73 +1327,56 @@ let e13_serving () =
     "serving core: 1k-10k concurrent clients, batched cooperative scheduler";
   let per_rpc o = o.f_minor /. float_of_int o.f_rpcs in
   let rate o = float_of_int o.f_rpcs /. o.f_secs in
-  (* 1k clients: reference screen, the new core, then the PR 5 replica
-     against the same help tree *)
+  (* 1k clients, against the single-client reference screen *)
   let s = Session.boot () in
-  let batches, frames = e13_script s in
+  let batches = e13_script s in
   let reference = e13_fleet s.Session.pool ~clients:1 ~batches in
-  let new1k = e13_fleet s.Session.pool ~clients:1000 ~batches in
+  let fleet1k = e13_fleet s.Session.pool ~clients:1000 ~batches in
   let p99_1k = rpc_p99 () in
   let identical_1k =
-    Array.for_all (fun sc -> sc = reference.f_screens.(0)) new1k.f_screens
+    Array.for_all (fun sc -> sc = reference.f_screens.(0)) fleet1k.f_screens
   in
-  let old1k =
-    e13_fleet_old (Help_srv.filesystem s.Session.help) ~clients:1000 ~frames
-  in
-  let identical_old =
-    Array.for_all (fun sc -> sc = reference.f_screens.(0)) old1k.f_screens
-  in
-  row "-- 1000 clients x %d RPCs (old = PR 5 pool replica) --\n"
-    e13_rpcs_per_client;
-  row "%-36s %14s %14s\n" "" "old" "new";
-  row "%-36s %14d %14d\n" "RPCs served" old1k.f_rpcs new1k.f_rpcs;
-  row "%-36s %14.0f %14.0f\n" "RPCs/sec" (rate old1k) (rate new1k);
-  row "%-36s %14.1f %14.1f\n" "minor words per RPC" (per_rpc old1k)
-    (per_rpc new1k);
-  row "%-36s %14d %14d\n" "major collections" old1k.f_majors new1k.f_majors;
-  row "%-36s %14.2f %14.2f\n" "fairness spread" old1k.f_spread new1k.f_spread;
-  row "%-36s %14s %14s\n" "screens = single-client run"
-    (if identical_old then "yes" else "NO")
+  row "-- 1000 clients x %d RPCs --\n" e13_rpcs_per_client;
+  row "%-36s %14d\n" "RPCs served" fleet1k.f_rpcs;
+  row "%-36s %14.0f\n" "RPCs/sec" (rate fleet1k);
+  row "%-36s %14.1f\n" "minor words per RPC" (per_rpc fleet1k);
+  row "%-36s %14d\n" "major collections" fleet1k.f_majors;
+  row "%-36s %14.2f\n" "fairness spread" fleet1k.f_spread;
+  row "%-36s %14d\n" "p99 nine.rpc.us (logical us)" p99_1k;
+  row "%-36s %14s\n" "screens = single-client run"
     (if identical_1k then "yes" else "NO");
-  row "%-36s %14s %14.2f\n" "speedup (RPCs/sec)" ""
-    (rate new1k /. rate old1k);
-  row "%-36s %14s %14d\n" "p99 nine.rpc.us (logical us)" "" p99_1k;
-  j13 "rpcs_per_sec_1k_old" (rate old1k);
-  j13 "rpcs_per_sec_1k" (rate new1k);
-  j13 "speedup_1k" (rate new1k /. rate old1k);
-  j13 "minor_words_per_rpc_1k_old" (per_rpc old1k);
-  j13 "minor_words_per_rpc_1k" (per_rpc new1k);
+  j13 "rpcs_per_sec_1k" (rate fleet1k);
+  j13 "minor_words_per_rpc_1k" (per_rpc fleet1k);
   j13 "p99_us_1k" (float_of_int p99_1k);
-  j13 "fairness_spread_1k" new1k.f_spread;
+  j13 "fairness_spread_1k" fleet1k.f_spread;
   j13 "screens_identical_1k" (if identical_1k then 1.0 else 0.0);
-  (* 10k clients: the new core only — the replica's List.nth scan is
-     quadratic and would take minutes here, which is the point *)
+  (* 10k clients, on a fresh session *)
   let s2 = Session.boot () in
-  let batches2, _ = e13_script s2 in
+  let batches2 = e13_script s2 in
   let reference2 = e13_fleet s2.Session.pool ~clients:1 ~batches:batches2 in
-  let new10k = e13_fleet s2.Session.pool ~clients:10_000 ~batches:batches2 in
+  let fleet10k = e13_fleet s2.Session.pool ~clients:10_000 ~batches:batches2 in
   let p99_10k = rpc_p99 () in
   let identical_10k =
-    Array.for_all (fun sc -> sc = reference2.f_screens.(0)) new10k.f_screens
+    Array.for_all (fun sc -> sc = reference2.f_screens.(0)) fleet10k.f_screens
   in
-  row "-- 10000 clients x %d RPCs (new core only) --\n" e13_rpcs_per_client;
-  row "%-36s %14d\n" "RPCs served" new10k.f_rpcs;
-  row "%-36s %14.0f\n" "RPCs/sec" (rate new10k);
-  row "%-36s %14.1f\n" "minor words per RPC" (per_rpc new10k);
-  row "%-36s %14d\n" "major collections" new10k.f_majors;
-  row "%-36s %14.2f\n" "fairness spread" new10k.f_spread;
+  row "-- 10000 clients x %d RPCs --\n" e13_rpcs_per_client;
+  row "%-36s %14d\n" "RPCs served" fleet10k.f_rpcs;
+  row "%-36s %14.0f\n" "RPCs/sec" (rate fleet10k);
+  row "%-36s %14.1f\n" "minor words per RPC" (per_rpc fleet10k);
+  row "%-36s %14d\n" "major collections" fleet10k.f_majors;
+  row "%-36s %14.2f\n" "fairness spread" fleet10k.f_spread;
   row "%-36s %14d\n" "p99 nine.rpc.us (logical us)" p99_10k;
   row "%-36s %14s\n" "screens = single-client run"
     (if identical_10k then "yes" else "NO");
-  j13 "rpcs_per_sec_10k" (rate new10k);
-  j13 "minor_words_per_rpc_10k" (per_rpc new10k);
+  j13 "rpcs_per_sec_10k" (rate fleet10k);
+  j13 "minor_words_per_rpc_10k" (per_rpc fleet10k);
   j13 "p99_us_10k" (float_of_int p99_10k);
-  j13 "fairness_spread_10k" new10k.f_spread;
+  j13 "fairness_spread_10k" fleet10k.f_spread;
   j13 "screens_identical_10k" (if identical_10k then 1.0 else 0.0);
   (* the smoke-scale allocation figure the gc-smoke gate compares
      against, and the codec churn row *)
   let s3 = Session.boot () in
-  let batches3, _ = e13_script s3 in
+  let batches3 = e13_script s3 in
   let smoke = e13_fleet s3.Session.pool ~clients:256 ~batches:batches3 in
   j13 "minor_words_per_rpc_smoke" (per_rpc smoke);
   let old_words, new_words = codec_alloc_words () in
@@ -1543,7 +1395,7 @@ let e13_serving () =
     let s = Session.boot () in
     if srate = 0 then Trace.set_sampling ~rate:0 ()
     else Trace.set_sampling ~seed:7 ~rate:srate ();
-    let b, _ = e13_script s in
+    let b = e13_script s in
     ignore (e13_fleet s.Session.pool ~clients:1 ~batches:b);
     rate (e13_fleet s.Session.pool ~clients:1000 ~batches:b)
   in
@@ -1569,7 +1421,7 @@ let e13_serving () =
   let s5 = Session.boot () in
   Trace.set_sampling ~seed:7 ~rate:64 ();
   Trace.window_configure ~width:8192 ~slots:64 ();
-  let batches5, _ = e13_script s5 in
+  let batches5 = e13_script s5 in
   ignore (e13_fleet s5.Session.pool ~clients:1 ~batches:batches5);
   ignore (e13_fleet s5.Session.pool ~clients:1000 ~batches:batches5);
   let qs =
@@ -1605,9 +1457,9 @@ let e13_smoke () =
   let v name = Option.value ~default:0 (Trace.find_value name) in
   let s = Session.boot () in
   let conn0 = v "nine.conn.active" in
-  let fid0 = Nine.Server.fid_count s.Session.srv in
+  let fid0 = Nine.Pool.fid_count s.Session.pool in
   Nine.Pool.record_journal s.Session.pool true;
-  let batches, _ = e13_script s in
+  let batches = e13_script s in
   let reference = e13_fleet s.Session.pool ~clients:1 ~batches in
   let fleet = e13_fleet s.Session.pool ~clients:128 ~batches in
   check "every screen identical to the single-client run"
@@ -1615,7 +1467,7 @@ let e13_smoke () =
   check "fairness spread within 1.05" (fleet.f_spread <= 1.05);
   check "nine.conn.active back to baseline after teardown"
     (v "nine.conn.active" = conn0);
-  check "no leaked fids" (Nine.Server.fid_count s.Session.srv = fid0);
+  check "no leaked fids" (Nine.Pool.fid_count s.Session.pool = fid0);
   let bcount, _, _, bmax = Trace.histogram_stats (Trace.histogram "nine.batch.size") in
   check "batching happened (nine.batch.size populated)" (bcount > 0);
   check "batches actually coalesce (max batch >= 2)" (bmax >= 2);
@@ -2083,7 +1935,7 @@ let wal_smoke () =
   let check name ok = if not ok then failed := name :: !failed in
   let store, cuts, t = wal_reference () in
   let d_ref, s_ref = wal_finish t in
-  let ref_fids = Nine.Server.fid_count t.Session.srv in
+  let ref_fids = Nine.Pool.fid_count t.Session.pool in
   let a_ref =
     match !(t.Session.wal) with Some a -> a | None -> assert false
   in
@@ -2118,7 +1970,7 @@ let wal_smoke () =
         (s = s_ref);
       check
         (Printf.sprintf "zero leaked fids after crash at %s" label)
-        (Nine.Server.fid_count t2.Session.srv = ref_fids))
+        (Nine.Pool.fid_count t2.Session.pool = ref_fids))
     points;
   match List.rev !failed with
   | [] ->
@@ -2159,7 +2011,7 @@ let ledger_float path key =
 
 let gc_smoke () =
   let s = Session.boot () in
-  let batches, _ = e13_script s in
+  let batches = e13_script s in
   (* warm once so one-time lazy setup is not billed to the measurement *)
   ignore (e13_fleet s.Session.pool ~clients:1 ~batches);
   let o = e13_fleet s.Session.pool ~clients:256 ~batches in
@@ -2297,7 +2149,7 @@ let obs_smoke () =
   (* 6. the gc-smoke allocation baseline still holds with sampling on *)
   let s6 = Session.boot () in
   Trace.set_sampling ~seed:7 ~rate:64 ();
-  let batches, _ = e13_script s6 in
+  let batches = e13_script s6 in
   ignore (e13_fleet s6.Session.pool ~clients:1 ~batches);
   let o = e13_fleet s6.Session.pool ~clients:256 ~batches in
   let words = o.f_minor /. float_of_int o.f_rpcs in

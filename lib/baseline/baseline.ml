@@ -10,10 +10,6 @@ type cost = { c_clicks : int; c_keys : int; c_travel : int }
 
 type system = Popup_wm | Typed_shell
 
-let system_name = function
-  | Popup_wm -> "popup-wm"
-  | Typed_shell -> "typed-shell"
-
 let zero = { c_clicks = 0; c_keys = 0; c_travel = 0 }
 
 let add a b =

@@ -43,8 +43,6 @@ type cost = { c_clicks : int; c_keys : int; c_travel : int }
 
 type system = Popup_wm | Typed_shell
 
-val system_name : system -> string
-
 val cost : system -> task -> cost
 
 val total : system -> task list -> cost

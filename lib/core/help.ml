@@ -602,7 +602,6 @@ let split_ws s =
   |> List.filter (fun x -> x <> "")
 
 let set_executor t f = t.executor <- Some f
-let clear_executor t = t.executor <- None
 
 let run_external t win cmd =
   let dir = Hwin.dir win in

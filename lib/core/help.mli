@@ -62,7 +62,6 @@ val on_event : t -> (event -> unit) -> unit
 type executor = cwd:string -> helpsel:string list -> string -> Rc.result
 
 val set_executor : t -> executor -> unit
-val clear_executor : t -> unit
 
 (** Is the session still running ([Exit] clears it)? *)
 val running : t -> bool

@@ -108,12 +108,6 @@ let last_frame t =
   | Some c when c.c_gen = Buffer0.generation t.buf -> Some c.c_frame
   | _ -> None
 
-let line_start_of t q =
-  let text = Buffer0.text t.buf in
-  match Rope.rindex_before text (clamp t q) '\n' with
-  | Some i -> i + 1
-  | None -> 0
-
 let show t ~w ~h q =
   let q = clamp t q in
   let f = layout t ~w ~h in

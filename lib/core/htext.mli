@@ -64,9 +64,6 @@ val last_frame : t -> Frame.t option
     lands on a line start. *)
 val show : t -> w:int -> h:int -> int -> unit
 
-(** Offset of the start of the line containing [q]. *)
-val line_start_of : t -> int -> int
-
 (** Select 1-based line [n] and return its start offset ([None] when
     out of range). *)
 val select_line : t -> int -> int option

@@ -1,4 +1,4 @@
-type t = { cns : Vfs.t; csh : Rc.t; link : Nine.Server.t }
+type t = { cns : Vfs.t; csh : Rc.t; link : Nine.Pool.t }
 
 (* Directories of the terminal the CPU session needs to see at their
    usual names.  /bin is deliberately absent: binaries are the CPU
@@ -32,4 +32,4 @@ let run t ~cwd ~helpsel cmd =
 
 let executor t ~cwd ~helpsel cmd = run t ~cwd ~helpsel cmd
 
-let link_stats t = Nine.Server.stats t.link
+let link_stats t = Nine.Pool.kind_counts t.link

@@ -1,19 +1,32 @@
 (* The 9P-style protocol stack: codec (from [Wire]), in-process server,
-   pooled scheduling (over [Sched]), client.
+   the pool that schedules requests into it, client.
 
    The codec lives in [Wire] (zero-copy cursors, reusable writers) and
    is re-exported here so existing [Nine.encode_t] etc. callers are
    unchanged.  [Server] executes decoded T-messages against per-
-   connection fid tables, with O(1) connection and fid accounting so a
-   server holding ten thousand seats costs the same per request as one
-   holding two.  [Pool] is a thin compatibility shim over the
-   cooperative scheduler in [Sched]: same tickets, same outcomes, same
-   journal, same deterministic replay — the batching, backpressure and
-   continuation machinery all live in the scheduler. *)
+   connection fid tables, with O(1) fid accounting so a server holding
+   ten thousand seats costs the same per request as one holding two.
+   [Pool] is the only way in: it owns the server and is its cooperative
+   scheduler — bounded per-connection rings, round-robin batches,
+   continuations, and the replay journal. *)
 
 include Wire
 
 let bad msg = raise (Bad_message msg)
+
+(* Trace context, allocated at submit time — before any work happens —
+   so every request has an id and a head-sampling verdict that travel
+   with it through dispatch into the server and down into Help. *)
+type request = { req_id : int; req_sampled : bool }
+
+let trace_sampled = Trace.counter "nine.trace.sampled"
+let trace_dropped = Trace.counter "nine.trace.dropped"
+
+let new_request () =
+  let id = Trace.request_id () in
+  let sampled = Trace.sample id in
+  if sampled then Trace.incr trace_sampled else Trace.incr trace_dropped;
+  { req_id = id; req_sampled = sampled }
 
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
@@ -42,7 +55,7 @@ module Server = struct
     mutable dirdata : string option;  (* rendered dir contents if a dir *)
   }
 
-  (* One client connection: its own fid table, negotiated msize and
+  (* One client's seat: its own fid table, negotiated msize and
      recorded uname.  Nothing a connection does can name another
      connection's fids — the tables are disjoint by construction. *)
   type conn = {
@@ -56,38 +69,19 @@ module Server = struct
   type t = {
     fs : Vfs.filesystem;
     counts : (string, int) Hashtbl.t;
-    conns : (int, conn) Hashtbl.t;  (* by conn_id; ids grow in attach order *)
-    mutable next_conn_id : int;
     mutable live : int;  (* fids across all connections, kept incrementally *)
-    mutable default : conn option;  (* lazily made for the 1-client [rpc] *)
   }
 
-  let create fs =
-    { fs; counts = Hashtbl.create 16; conns = Hashtbl.create 64;
-      next_conn_id = 0; live = 0; default = None }
+  let create fs = { fs; counts = Hashtbl.create 16; live = 0 }
 
-  let conn_gauge = Trace.gauge "nine.conn.active"
-  let conn_attached = Trace.counter "nine.conn.attached"
+  let connection ~id ~uname =
+    { conn_id = id; fids = Hashtbl.create 32; c_msize = 65536;
+      c_uname = uname; c_served = 0 }
 
-  let connection ?(uname = "none") srv =
-    let conn =
-      { conn_id = srv.next_conn_id; fids = Hashtbl.create 32; c_msize = 65536;
-        c_uname = uname; c_served = 0 }
-    in
-    srv.next_conn_id <- srv.next_conn_id + 1;
-    Hashtbl.replace srv.conns conn.conn_id conn;
-    Trace.incr conn_attached;
-    Trace.set_gauge conn_gauge (Hashtbl.length srv.conns);
-    conn
-
-  let conn_id conn = conn.conn_id
-  let conn_uname conn = conn.c_uname
-  let conn_served conn = conn.c_served
-  let conn_fid_count conn = Hashtbl.length conn.fids
-
-  (* Fid-table mutation goes through these two, so the server-wide live
-     count (and with it [fid_count] and the [nine.fids.live] gauge)
-     stays O(1) instead of a fold over every connection per request. *)
+  (* Fid-table mutation goes through these three, so the server-wide
+     live count (and with it [fid_count] and the [nine.fids.live]
+     gauge) stays O(1) instead of a fold over every connection per
+     request. *)
   let bind_fid srv conn fid st =
     if not (Hashtbl.mem conn.fids fid) then srv.live <- srv.live + 1;
     Hashtbl.replace conn.fids fid st
@@ -98,38 +92,23 @@ module Server = struct
       Hashtbl.remove conn.fids fid
     end
 
-  (* Drop a connection: close whatever it left open and forget its
-     fids.  A client that vanishes must not pin files forever.
-     Idempotent — a second disconnect of the same seat is a no-op, so
-     the [nine.conn.active] gauge cannot drift below the truth. *)
-  let disconnect srv conn =
-    if Hashtbl.mem srv.conns conn.conn_id then begin
-      Hashtbl.iter
-        (fun _ st ->
-          match st.opened with
-          | Some f -> ( try f.Vfs.of_close () with Vfs.Error _ -> ())
-          | None -> ())
-        conn.fids;
-      srv.live <- srv.live - Hashtbl.length conn.fids;
-      Hashtbl.reset conn.fids;
-      Hashtbl.remove srv.conns conn.conn_id;
-      if srv.default = Some conn then srv.default <- None;
-      Trace.set_gauge conn_gauge (Hashtbl.length srv.conns)
-    end
-
-  let connections srv =
-    Hashtbl.fold (fun _ c acc -> c :: acc) srv.conns []
-    |> List.sort (fun a b -> compare a.conn_id b.conn_id)
-
-  let fid_count srv = srv.live
+  (* Clunk every fid of the connection, closing whatever it left open:
+     a Tversion starts a fresh session on the seat, and a client that
+     vanishes must not pin files forever.  Close errors are dropped —
+     the fids are gone either way. *)
+  let release_fids srv conn =
+    Hashtbl.iter
+      (fun _ st ->
+        match st.opened with
+        | Some f -> ( try f.Vfs.of_close () with Vfs.Error _ -> ())
+        | None -> ())
+      conn.fids;
+    srv.live <- srv.live - Hashtbl.length conn.fids;
+    Hashtbl.reset conn.fids
 
   let count srv kind =
     Hashtbl.replace srv.counts kind
       (1 + Option.value ~default:0 (Hashtbl.find_opt srv.counts kind))
-
-  let stats srv =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) srv.counts []
-    |> List.sort compare
 
   let lookup conn fid =
     match Hashtbl.find_opt conn.fids fid with
@@ -149,8 +128,7 @@ module Server = struct
   let exec srv conn msg =
     match msg with
     | Tversion { msize; version = _ } ->
-        srv.live <- srv.live - Hashtbl.length conn.fids;
-        Hashtbl.reset conn.fids;
+        release_fids srv conn;
         conn.c_msize <- max 256 (min msize 65536);
         Rversion { msize = conn.c_msize; version = "9P2000.help" }
     | Tattach { fid; uname; _ } ->
@@ -159,10 +137,9 @@ module Server = struct
         bind_fid srv conn fid { path = []; opened = None; dirdata = None };
         Rattach { qid = qid_of_stat st [] }
     | Tflush _ ->
-        (* By the time a flush reaches direct execution the old request
-           has either been answered or cancelled out of a scheduler
-           queue (see [Sched.submit]); all that is left is to
-           acknowledge. *)
+        (* By the time a flush is executed the old request has either
+           been answered or cancelled out of the pool's queue (see
+           [Pool.submit_msg]); all that is left is to acknowledge. *)
         Trace.incr flush_received;
         Rflush
     | Twalk { fid; newfid; names } ->
@@ -263,7 +240,7 @@ module Server = struct
         Rstat { stat = stat9_of_stat st state.path }
 
   (* Per-message-type tallies and round-trip latency on the global
-     observability ledger; [stats] stays per-server (each link keeps
+     observability ledger; [counts] stays per-server (each link keeps
      its own tally on top of the aggregate). *)
   let rpc_counters =
     List.map
@@ -274,13 +251,14 @@ module Server = struct
   let rpc_us = Trace.histogram "nine.rpc.us"
   let live_fids = Trace.gauge "nine.fids.live"
 
-  (* Execute one decoded request: tallies, timing, fid-gauge upkeep.
-     [len] is the request's wire length, checked against the
-     connection's msize.  [req] is the trace context allocated at
-     submit time: a sampled request executes inside a [rpc.<kind>] span
-     that tags the whole nested tree — the server's work, Vfs
-     resolution, Help execution — with the request id. *)
-  let dispatch_reply srv conn ~len ~(req : Sched.request) msg =
+  (* Execute one decoded request and append its framed reply to [w]:
+     tallies, timing, fid-gauge upkeep.  [len] is the request's wire
+     length, checked against the connection's msize.  [req] is the
+     trace context allocated at submit time: a sampled request executes
+     inside a [rpc.<kind>] span that tags the whole nested tree — the
+     server's work, Vfs resolution, Help execution — with the request
+     id. *)
+  let dispatch srv conn w ~tag ~len ~req msg =
     let kind = kind_of_t msg in
     count srv kind;
     (match List.assoc_opt kind rpc_counters with
@@ -295,115 +273,433 @@ module Server = struct
         with Vfs.Error e -> Rerror { ename = Vfs.error_message e }
     in
     let reply =
-      if req.Sched.req_sampled then
-        Trace.with_request ~reqid:req.Sched.req_id
+      if req.req_sampled then
+        Trace.with_request ~reqid:req.req_id
           ~args:
             [ ("conn", string_of_int conn.conn_id);
-              ("req", string_of_int req.Sched.req_id) ]
+              ("req", string_of_int req.req_id) ]
           ("rpc." ^ kind) run
       else run ()
     in
     Trace.observe rpc_us (Trace.now_us () - t0);
     Trace.set_gauge live_fids srv.live;
-    reply
-
-  (* The scheduler's entry point: decoded message in, framed reply
-     appended to the connection's reusable writer — no intermediate
-     string. *)
-  let conn_dispatch srv conn w ~tag ~len ~req msg =
-    encode_r_into w ~tag (dispatch_reply srv conn ~len ~req msg)
-
-  let conn_rpc srv conn packet =
-    let tag, msg = decode_t packet in
-    encode_r ~tag
-      (dispatch_reply srv conn ~len:(String.length packet)
-         ~req:(Sched.new_request ()) msg)
-
-  (* The single-client entry point of the original server, kept for
-     direct protocol conversations: all its traffic lands on one
-     implicit connection. *)
-  let rpc srv packet =
-    let conn =
-      match srv.default with
-      | Some c -> c
-      | None ->
-          let c = connection ~uname:"direct" srv in
-          srv.default <- Some c;
-          c
-    in
-    conn_rpc srv conn packet
+    encode_r_into w ~tag reply
 end
 
 (* ------------------------------------------------------------------ *)
-(* Pool: the compatibility face of the cooperative scheduler           *)
+(* Pool: the server's cooperative scheduler                            *)
+
+(* What the pool owns is the concurrency structure:
+
+   - a bounded FIFO ring per connection, with explicit backpressure:
+     submitting into a full ring turns the scheduler until space frees,
+     counting [nine.backpressure.stalls];
+
+   - a ready queue of connections, served round-robin, up to
+     [batch_limit] requests per connection per turn ([nine.batch.size]
+     histogram) — one turn of the ready queue serves at most one batch
+     per connection, so a flooding client waits behind everyone else's
+     next batch, never ahead of it;
+
+   - a run-to-completion task queue for continuations ([on_settled]),
+     drained between batches, so thousands of scripted clients
+     interleave without threads;
+
+   - a bounded replay journal of (clock, conn, kind) dispatch records,
+     dropping the oldest beyond [journal_cap] ([nine.journal.dropped]).
+
+   Everything is deterministic: connections are served in ready-queue
+   order, which is a pure function of the submission schedule, and the
+   clock is [Trace]'s logical clock — the same schedule replays to the
+   same interleaving, the same journal, and byte-identical replies. *)
 
 module Pool = struct
-  type outcome = Sched.outcome = Waiting | Replied of string | Flushed
+  type outcome = Waiting | Replied of string | Flushed
 
-  type conn = { c_pool : pool; sconn : Server.conn; sc : Sched.conn }
-
-  and pool = {
-    srv : Server.t;
-    sched : Sched.t;
-    pconns : (int, conn) Hashtbl.t;  (* by conn_id *)
+  type entry = {
+    e_ticket : int;
+    e_tag : int;
+    e_len : int;  (* request wire length, for the server's msize check *)
+    e_req : request;
+    e_msg : tmsg;
+    mutable e_cancelled : bool;  (* tombstoned by a Tflush while queued *)
   }
 
-  type t = pool
+  type conn = {
+    pool : t;
+    sconn : Server.conn;
+    rpcs : Trace.counter;  (* nine.conn.<id>.rpcs *)
+    writer : Writer.t;  (* reusable reply encode buffer *)
+    (* bounded FIFO ring; grows geometrically up to [max_queue] *)
+    mutable q : entry option array;
+    mutable q_head : int;
+    mutable q_len : int;
+    outcomes : (int, outcome) Hashtbl.t;  (* settled, not yet taken *)
+    settled : (int, outcome -> unit) Hashtbl.t;  (* continuations *)
+    mutable next_ticket : int;
+    mutable submitted : int;
+    mutable in_ready : bool;
+    mutable dead : bool;
+  }
 
-  let create ?max_queue ?batch_limit fs =
-    { srv = Server.create fs; sched = Sched.create ?max_queue ?batch_limit ();
-      pconns = Hashtbl.create 64 }
+  and t = {
+    srv : Server.t;
+    max_queue : int;
+    batch_limit : int;
+    conns : (int, conn) Hashtbl.t;  (* by conn id; ids grow in attach order *)
+    mutable next_id : int;
+    ready : conn Queue.t;
+    tasks : (unit -> unit) Queue.t;
+    (* bounded journal ring, oldest dropped on overflow *)
+    mutable journal : (int * int * string) array option;
+    mutable j_head : int;
+    mutable j_len : int;
+    (* durability sink: sees every dispatch record before the bounded
+       ring can evict it, so WAL persistence never loses an entry the
+       ring dropped under flood *)
+    mutable journal_sink : (int * int * string -> unit) option;
+  }
 
-  let server p = p.srv
-  let fid_count p = Server.fid_count p.srv
+  let stalls = Trace.counter "nine.backpressure.stalls"
+  let batch_size = Trace.histogram "nine.batch.size"
+  let journal_dropped = Trace.counter "nine.journal.dropped"
+  let flush_cancelled = Trace.counter "nine.flush.cancelled"
+  let flush_stale = Trace.counter "nine.flush.stale"
+  let conn_gauge = Trace.gauge "nine.conn.active"
+  let conn_attached = Trace.counter "nine.conn.attached"
+
+  let journal_cap = 8192
+
+  let create ?(max_queue = 128) ?(batch_limit = 8) fs =
+    if max_queue < 1 then invalid_arg "Pool.create: max_queue < 1";
+    if batch_limit < 1 then invalid_arg "Pool.create: batch_limit < 1";
+    {
+      srv = Server.create fs;
+      max_queue;
+      batch_limit;
+      conns = Hashtbl.create 64;
+      next_id = 0;
+      ready = Queue.create ();
+      tasks = Queue.create ();
+      journal = None;
+      j_head = 0;
+      j_len = 0;
+      journal_sink = None;
+    }
 
   let rpcs_name id = Printf.sprintf "nine.conn.%d.rpcs" id
 
-  let attach ?uname p =
-    let sconn = Server.connection ?uname p.srv in
-    let id = Server.conn_id sconn in
-    let rpcs = Trace.counter (rpcs_name id) in
-    let dispatch w ~tag ~len ~req msg =
-      Trace.incr rpcs;
-      Server.conn_dispatch p.srv sconn w ~tag ~len ~req msg
+  let attach ?(uname = "none") p =
+    let id = p.next_id in
+    p.next_id <- id + 1;
+    let c =
+      {
+        pool = p;
+        sconn = Server.connection ~id ~uname;
+        rpcs = Trace.counter (rpcs_name id);
+        writer = Writer.create 1024;
+        q = Array.make (min 8 p.max_queue) None;
+        q_head = 0;
+        q_len = 0;
+        outcomes = Hashtbl.create 8;
+        settled = Hashtbl.create 8;
+        next_ticket = 0;
+        submitted = 0;
+        in_ready = false;
+        dead = false;
+      }
     in
-    let sc = Sched.attach p.sched ~id ~dispatch in
-    let c = { c_pool = p; sconn; sc } in
-    Hashtbl.replace p.pconns id c;
+    Hashtbl.replace p.conns id c;
+    Trace.incr conn_attached;
+    Trace.set_gauge conn_gauge (Hashtbl.length p.conns);
     c
 
-  let conn_id c = Server.conn_id c.sconn
-  let uname c = Server.conn_uname c.sconn
-  let served c = Server.conn_served c.sconn
+  let conn_id c = c.sconn.conn_id
+  let served c = c.sconn.c_served
+  let queue_length c = c.q_len
+  let fid_count p = p.srv.live
 
+  let kind_counts p =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.srv.counts []
+    |> List.sort compare
+
+  (* A disconnected connection keeps nothing queued: whatever was in
+     flight is dropped, so a caller waiting on one of its tickets sees
+     the queue drain and reports the request vanished (exactly a client
+     that hung up mid-conversation).  Idempotent — a second disconnect
+     of the same seat is a no-op, so the [nine.conn.active] gauge cannot
+     drift below the truth. *)
   let disconnect c =
-    let p = c.c_pool in
-    Sched.detach c.sc;
-    Hashtbl.remove p.pconns (conn_id c);
-    (* the counter goes with its connection, or a churning fleet grows
-       the registry that every window roll walks *)
-    Trace.unregister (rpcs_name (conn_id c));
-    Server.disconnect p.srv c.sconn
+    if not c.dead then begin
+      let p = c.pool in
+      c.dead <- true;
+      Array.fill c.q 0 (Array.length c.q) None;
+      c.q_len <- 0;
+      Hashtbl.reset c.settled;
+      Hashtbl.remove p.conns (conn_id c);
+      (* the counter goes with its connection, or a churning fleet grows
+         the registry that every window roll walks *)
+      Trace.unregister (rpcs_name (conn_id c));
+      Server.release_fids p.srv c.sconn;
+      Trace.set_gauge conn_gauge (Hashtbl.length p.conns)
+    end
 
-  let submit c packet = Sched.submit c.sc packet
-  let feed c buf = Sched.feed c.sc buf
-  let queue_length c = Sched.queue_length c.sc
-  let poll c ticket = Sched.poll c.sc ticket
-  let take c ticket = Sched.take c.sc ticket
-  let on_settled c ticket cb = Sched.on_settled c.sc ticket cb
-  let pending p = Sched.pending p.sched
-  let record_journal p on = Sched.record_journal p.sched on
-  let journal p = Sched.journal p.sched
-  let set_journal_sink p sink = Sched.set_journal_sink p.sched sink
-  let step p = Sched.step p.sched
-  let run p = Sched.run p.sched
-  let transport c packet = Sched.transport c.sc packet
+  (* ---------------------------------------------------------------- *)
+  (* Per-connection ring                                               *)
+
+  let q_push c e =
+    let cap = Array.length c.q in
+    if c.q_len = cap && cap < c.pool.max_queue then begin
+      let cap' = min (2 * cap) c.pool.max_queue in
+      let q' = Array.make cap' None in
+      for i = 0 to c.q_len - 1 do
+        q'.(i) <- c.q.((c.q_head + i) mod cap)
+      done;
+      c.q <- q';
+      c.q_head <- 0
+    end;
+    assert (c.q_len < Array.length c.q);
+    c.q.((c.q_head + c.q_len) mod Array.length c.q) <- Some e;
+    c.q_len <- c.q_len + 1
+
+  let q_pop c =
+    if c.q_len = 0 then None
+    else begin
+      let e = c.q.(c.q_head) in
+      c.q.(c.q_head) <- None;
+      c.q_head <- (c.q_head + 1) mod Array.length c.q;
+      c.q_len <- c.q_len - 1;
+      e
+    end
+
+  let q_iter c f =
+    let cap = Array.length c.q in
+    for i = 0 to c.q_len - 1 do
+      match c.q.((c.q_head + i) mod cap) with
+      | Some e -> f e
+      | None -> assert false
+    done
+
+  (* ---------------------------------------------------------------- *)
+  (* Journal                                                           *)
+
+  let record_journal p on =
+    if on then begin
+      p.journal <- Some (Array.make journal_cap (0, 0, ""));
+      p.j_head <- 0;
+      p.j_len <- 0
+    end
+    else p.journal <- None
+
+  let journal p =
+    match p.journal with
+    | None -> []
+    | Some a ->
+        List.init p.j_len (fun i -> a.((p.j_head + i) mod journal_cap))
+
+  let set_journal_sink p sink = p.journal_sink <- sink
+
+  (* The sink sees the record first, before the bounded ring has a
+     chance to evict anything — WAL persistence consumes entries ahead
+     of eviction, so a ring drop under flood loses only the debug copy.
+     With the ring enabled the stamp is a clock reading (one tick per
+     dispatch); with only a sink it is the clock's current position, so
+     attaching durability does not perturb timestamps. *)
+  let journal_record p c kind =
+    if p.journal <> None || p.journal_sink <> None then begin
+      let stamp =
+        match p.journal with
+        | Some _ -> Trace.now_us ()
+        | None -> Trace.logical_now ()
+      in
+      let e = (stamp, conn_id c, kind) in
+      (match p.journal_sink with Some sink -> sink e | None -> ());
+      match p.journal with
+      | None -> ()
+      | Some a ->
+          if p.j_len = journal_cap then begin
+            a.(p.j_head) <- e;
+            p.j_head <- (p.j_head + 1) mod journal_cap;
+            Trace.incr journal_dropped
+          end
+          else begin
+            a.((p.j_head + p.j_len) mod journal_cap) <- e;
+            p.j_len <- p.j_len + 1
+          end
+    end
+
+  (* ---------------------------------------------------------------- *)
+  (* Settling                                                          *)
+
+  let settle c ticket o =
+    match Hashtbl.find_opt c.settled ticket with
+    | Some cb ->
+        (* continuation-driven: the outcome is consumed by the callback,
+           run-to-completion, from the task queue *)
+        Hashtbl.remove c.settled ticket;
+        Queue.add (fun () -> cb o) c.pool.tasks
+    | None -> Hashtbl.replace c.outcomes ticket o
+
+  let poll c ticket =
+    match Hashtbl.find_opt c.outcomes ticket with
+    | Some o -> o
+    | None -> Waiting
+
+  let take c ticket =
+    let o = poll c ticket in
+    (match o with
+    | Waiting -> ()
+    | Replied _ | Flushed -> Hashtbl.remove c.outcomes ticket);
+    o
+
+  let on_settled c ticket cb =
+    match Hashtbl.find_opt c.outcomes ticket with
+    | Some o ->
+        (* already settled: deliver from the task queue all the same, so
+           callbacks never run inside the submitter's stack *)
+        Hashtbl.remove c.outcomes ticket;
+        Queue.add (fun () -> cb o) c.pool.tasks
+    | None -> Hashtbl.replace c.settled ticket cb
+
+  (* ---------------------------------------------------------------- *)
+  (* Serving                                                           *)
+
+  let run_tasks p =
+    let ran = not (Queue.is_empty p.tasks) in
+    while not (Queue.is_empty p.tasks) do
+      (Queue.pop p.tasks) ()
+    done;
+    ran
+
+  let mark_ready c =
+    if (not c.in_ready) && not c.dead then begin
+      c.in_ready <- true;
+      Queue.add c c.pool.ready
+    end
+
+  (* Serve one connection's batch: up to [batch_limit] queued requests
+     are dispatched back-to-back into the connection's reply writer,
+     and each reply is settled as it is sliced out.  Cancelled (flushed)
+     entries are consumed without dispatching — they were settled at
+     cancellation time and must not count against the batch. *)
+  let serve_batch p c =
+    Writer.clear c.writer;
+    let served = ref 0 in
+    let exhausted = ref false in
+    while (not !exhausted) && !served < p.batch_limit && c.q_len > 0 do
+      match q_pop c with
+      | None -> exhausted := true
+      | Some e when e.e_cancelled -> ()
+      | Some e ->
+          journal_record p c (kind_of_t e.e_msg);
+          let off = Writer.length c.writer in
+          Trace.incr c.rpcs;
+          Server.dispatch p.srv c.sconn c.writer ~tag:e.e_tag ~len:e.e_len
+            ~req:e.e_req e.e_msg;
+          let len = Writer.length c.writer - off in
+          settle c e.e_ticket (Replied (Writer.sub_string c.writer ~off ~len));
+          incr served
+    done;
+    if !served > 0 then Trace.observe batch_size !served;
+    if c.q_len > 0 then mark_ready c
+
+  (* One scheduler turn: drain pending continuations, then serve the
+     batch of the next ready connection (and whatever continuations it
+     unblocks).  Returns [false] only when there is nothing left to
+     do. *)
+  let step p =
+    let ran = run_tasks p in
+    let rec next () =
+      match Queue.take_opt p.ready with
+      | None -> ran
+      | Some c ->
+          c.in_ready <- false;
+          if c.dead then next ()  (* hung up while waiting its turn *)
+          else begin
+            serve_batch p c;
+            ignore (run_tasks p);
+            true
+          end
+    in
+    next ()
+
+  let run p = while step p do () done
+
+  (* ---------------------------------------------------------------- *)
+  (* Submission                                                        *)
+
+  (* Accept one decoded request.  A [Tflush] is the cancellation point:
+     if the flushed tag is still queued, the victim is tombstoned on the
+     spot and its ticket settled [Flushed], so it will never execute; a
+     flush arriving after its victim completed is counted stale.  The
+     flush itself then queues and is answered in order.  A full ring is
+     backpressure, not an error: the scheduler turns until space frees,
+     counting each stall — submission order still fully determines the
+     interleaving, so replay is unaffected. *)
+  let submit_msg c ~tag ~len msg =
+    if c.dead then invalid_arg "Pool: submit on a disconnected connection";
+    let p = c.pool in
+    let ticket = c.next_ticket in
+    c.next_ticket <- ticket + 1;
+    c.submitted <- c.submitted + 1;
+    (match msg with
+    | Tflush { oldtag } ->
+        let hit = ref false in
+        q_iter c (fun e ->
+            if (not !hit) && (not e.e_cancelled) && e.e_tag = oldtag then begin
+              hit := true;
+              e.e_cancelled <- true;
+              settle c e.e_ticket Flushed
+            end);
+        if !hit then Trace.incr flush_cancelled else Trace.incr flush_stale
+    | _ -> ());
+    while c.q_len >= p.max_queue do
+      Trace.incr stalls;
+      if not (step p) then
+        (* unreachable: this connection's own full queue is schedulable *)
+        invalid_arg "Pool: stalled with nothing to serve"
+    done;
+    q_push c { e_ticket = ticket; e_tag = tag; e_len = len;
+               e_req = new_request (); e_msg = msg; e_cancelled = false };
+    mark_ready c;
+    ticket
+
+  let submit c packet =
+    let tag, msg = decode_t packet in
+    submit_msg c ~tag ~len:(String.length packet) msg
+
+  (* Wire-level batching: a buffer of concatenated T-frames is split and
+     decoded in place — no per-frame copy — and every frame submitted.
+     Returns the tickets in frame order. *)
+  let feed c buf =
+    let tickets = ref [] in
+    iter_frames buf (fun ~off ~len ->
+        let tag, msg = decode_t_at buf ~off ~len in
+        tickets := submit_msg c ~tag ~len msg :: !tickets);
+    List.rev !tickets
+
+  (* The synchronous bridge a [Client] speaks: enqueue, then turn the
+     scheduler until this request's reply is out.  While it waits, the
+     ready queue serves other connections' batches, so all-synchronous
+     clients still interleave fairly. *)
+  let transport c packet =
+    let ticket = submit c packet in
+    let rec drive () =
+      match take c ticket with
+      | Replied r -> r
+      | Flushed -> raise Timeout
+      | Waiting ->
+          if step c.pool then drive ()
+          else raise (Vfs.Error (Vfs.Eio "9p pool: request vanished"))
+    in
+    drive ()
 
   let stats p =
     Hashtbl.fold
       (fun _ c acc ->
-        (conn_id c, uname c, served c, Server.conn_fid_count c.sconn) :: acc)
-      p.pconns []
+        (conn_id c, c.sconn.c_uname, served c, Hashtbl.length c.sconn.fids)
+        :: acc)
+      p.conns []
     |> List.sort compare
 
   (* Most-served over least-served connection, among those that asked
@@ -412,9 +708,8 @@ module Pool = struct
   let fairness_spread p =
     let ss =
       Hashtbl.fold
-        (fun _ c acc ->
-          if Sched.submitted c.sc > 0 then served c :: acc else acc)
-        p.pconns []
+        (fun _ c acc -> if c.submitted > 0 then served c :: acc else acc)
+        p.conns []
     in
     match ss with
     | [] -> 1.0
@@ -737,9 +1032,8 @@ module Client = struct
     { Vfs.fs_stat; fs_open; fs_create; fs_remove; fs_readdir }
 end
 
-let serve_mount_pool ?wrap ?max_retries ?max_queue ?batch_limit
-    ?(uname = "help") ns path fs =
-  let pool = Pool.create ?max_queue ?batch_limit fs in
+let serve_mount ?wrap ?max_retries ?(uname = "help") ns path fs =
+  let pool = Pool.create fs in
   let conn = Pool.attach ~uname pool in
   let transport =
     match wrap with
@@ -750,7 +1044,4 @@ let serve_mount_pool ?wrap ?max_retries ?max_queue ?batch_limit
      exception propagates with the namespace untouched *)
   let client = Client.connect ?max_retries ~uname transport in
   Vfs.mount ns path (Client.filesystem client);
-  (Pool.server pool, pool)
-
-let serve_mount ?wrap ?max_retries ?uname ns path fs =
-  fst (serve_mount_pool ?wrap ?max_retries ?uname ns path fs)
+  pool

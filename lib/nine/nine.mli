@@ -8,9 +8,9 @@
     mounted server serializes a T-message and parses an R-message, as it
     would on the wire.
 
-    Simplifications relative to 9P2000 (documented, deliberate): tags are
-    carried but requests are synchronous; permissions are not modelled
-    ([help] has a single user); [iounit] is fixed. *)
+    Simplifications relative to 9P2000 (documented, deliberate):
+    permissions are not modelled ([help] has a single user); [iounit]
+    is fixed. *)
 
 (** {1 Wire messages} *)
 
@@ -88,94 +88,13 @@ val encode_stat : stat9 -> string
 
 val decode_stats : string -> stat9 list
 
-(** {1 Server} *)
-
-module Server : sig
-  type t
-
-  (** One client's seat at the server.  Each connection owns a disjoint
-      fid table, its own negotiated msize, and the [uname] its client
-      presented at attach — fids never cross connections. *)
-  type conn
-
-  (** Serve the given file system (its paths are server-relative).  A
-      fresh server has no connections; they are added by {!connection}
-      (usually via {!Pool.attach}) or implicitly by the first {!rpc}. *)
-  val create : Vfs.filesystem -> t
-
-  (** Open a new connection.  [uname] is a provisional label for stats
-      ("none" by default); the [Tattach] on this connection overwrites
-      it with the client's own.  Bumps [nine.conn.attached] and the
-      [nine.conn.active] gauge. *)
-  val connection : ?uname:string -> t -> conn
-
-  (** Close a connection: every open file on it is released, its fid
-      table emptied, and it is removed from the server. *)
-  val disconnect : t -> conn -> unit
-
-  (** Connections currently open, in creation order. *)
-  val connections : t -> conn list
-
-  val conn_id : conn -> int
-  val conn_uname : conn -> string
-
-  (** Requests served on this connection so far. *)
-  val conn_served : conn -> int
-
-  (** Live fids in this connection's table alone. *)
-  val conn_fid_count : conn -> int
-
-  (** One round-trip on an explicit connection: decode a T-message,
-      execute against that connection's fid table and msize, encode the
-      R-message.  Allocates its own trace context ({!Sched.new_request})
-      since no scheduler is involved.  Protocol errors become [Rerror];
-      malformed packets raise {!Bad_message}. *)
-  val conn_rpc : t -> conn -> string -> string
-
-  (** The scheduler's zero-copy entry point: execute one
-      already-decoded T-message and append the framed R-message to the
-      given writer.  [len] is the request's wire length (checked
-      against the connection's msize); [req] is the trace context
-      allocated at submit time — a sampled request's whole execution is
-      recorded as a span tree tagged with its request id, readable as
-      [/mnt/help/trace/<reqid>].  {!conn_rpc} is this plus a decode and
-      a string materialization. *)
-  val conn_dispatch :
-    t ->
-    conn ->
-    Wire.Writer.t ->
-    tag:int ->
-    len:int ->
-    req:Sched.request ->
-    tmsg ->
-    unit
-
-  (** {!conn_rpc} on a lazily-created default connection (uname
-      "direct") — the single-client convenience used by direct tests
-      and the in-process [Cpu] link. *)
-  val rpc : t -> string -> string
-
-  (** Number of requests served by {e this} server, by message kind
-      (walk, open, read, ...); used by benches and [Cpu.link_stats].
-      Every message also feeds the global observability ledger: the
-      [nine.rpc.<kind>] counters and the [nine.rpc.us] round-trip
-      latency histogram (see [Trace]). *)
-  val stats : t -> (string * int) list
-
-  (** Number of live fids across {e all} connections — the leak
-      detector.  After every client handle is closed it must return to
-      the count held right after attach (one root fid per attached
-      connection).  Also exported as the [nine.fids.live] gauge after
-      each rpc. *)
-  val fid_count : t -> int
-end
-
 (** {1 Pool}
 
-    Many connections over one server.  Since the serving-core rebuild
-    this is a thin compatibility shim over the cooperative scheduler in
-    {!Sched}: requests are queued per connection into a bounded FIFO
-    ring ({!Pool.submit}; a full ring applies backpressure, counted as
+    The server and the only way into it: many connections over one
+    in-process server, each with its own fid table, negotiated msize
+    and uname, and a cooperative scheduler in front.  Requests are
+    queued per connection into a bounded FIFO ring ({!Pool.submit}; a
+    full ring applies backpressure, counted as
     [nine.backpressure.stalls]) and served in round-robin batches
     ({!Pool.step} serves up to the pool's batch limit of one
     connection's requests per turn, observed in the [nine.batch.size]
@@ -184,13 +103,21 @@ end
     next batch and can never starve the rest.  Connections are served
     in ready order, a pure function of the submission schedule, and the
     server runs on the deterministic logical clock, so the same
-    schedule replays to the same interleaving byte for byte. *)
+    schedule replays to the same interleaving byte for byte.
+
+    Every request is tallied on the global ledger ([nine.rpc.<kind>]
+    counters, the [nine.rpc.us] latency histogram, the
+    [nine.fids.live] gauge) and given a request id with a head-sampling
+    verdict at submit time ([nine.trace.sampled] /
+    [nine.trace.dropped]); a sampled request's whole execution is
+    recorded as a span tree tagged with its id, readable as
+    [/mnt/help/trace/<reqid>]. *)
 
 module Pool : sig
   type t
 
-  (** One pooled connection: a submission queue plus its {!Server.conn}
-      seat. *)
+  (** One connection: a submission queue plus its seat at the server
+      (fid table, msize, uname). *)
   type conn
 
   (** What became of a submitted request. *)
@@ -199,27 +126,29 @@ module Pool : sig
     | Replied of string  (** served; the encoded R-message *)
     | Flushed  (** cancelled by a later [Tflush] before it ran *)
 
-  (** A fresh server wrapped in an empty pool.  [max_queue] bounds each
-      connection's submission ring and [batch_limit] caps requests
-      served per connection per turn (defaults from {!Sched.create}). *)
+  (** A server for the given file system (its paths are
+      server-relative), with no connections yet.  [max_queue] bounds
+      each connection's submission ring (default 128) and
+      [batch_limit] caps requests served per connection per turn
+      (default 8). *)
   val create : ?max_queue:int -> ?batch_limit:int -> Vfs.filesystem -> t
 
-  (** The underlying server (stats, fid accounting). *)
-  val server : t -> Server.t
-
   (** Open a connection and add it at the back of the scheduler ring.
-      Its requests are counted in [nine.conn.<id>.rpcs]. *)
+      [uname] (default "none") labels it in {!stats} until its
+      [Tattach] records the client's own.  Its requests are counted in
+      [nine.conn.<id>.rpcs]; bumps [nine.conn.attached] and the
+      [nine.conn.active] gauge. *)
   val attach : ?uname:string -> t -> conn
 
-  (** Remove the connection from the ring, release its fids and drop its
-      [nine.conn.<id>.rpcs] counter.  Its queued requests are dropped
-      unserved. *)
+  (** Remove the connection from the ring, clunk its fids (closing
+      every file it left open) and drop its [nine.conn.<id>.rpcs]
+      counter.  Its queued requests are dropped unserved.  A second
+      disconnect is a no-op. *)
   val disconnect : conn -> unit
 
   val conn_id : conn -> int
-  val uname : conn -> string
 
-  (** Requests served on this connection (from {!Server.conn_served}). *)
+  (** Requests served on this connection so far. *)
   val served : conn -> int
 
   (** Queue [packet] and return a ticket for {!poll}/{!take}.  A
@@ -252,9 +181,6 @@ module Pool : sig
       — {!poll}/{!take} will not see it. *)
   val on_settled : conn -> int -> (outcome -> unit) -> unit
 
-  (** Requests queued across the pool. *)
-  val pending : t -> int
-
   (** One scheduler turn: drain pending continuations, then serve up to
       [batch_limit] queued requests of the next ready connection;
       [false] when nothing is left to do. *)
@@ -279,8 +205,17 @@ module Pool : sig
       [infinity] means a requester was never served. *)
   val fairness_spread : t -> float
 
-  (** {!Server.fid_count} of the pooled server. *)
+  (** Number of live fids across {e all} connections — the leak
+      detector.  After every client handle is closed it must return to
+      the count held right after attach (one root fid per attached
+      connection).  Also exported as the [nine.fids.live] gauge after
+      each request. *)
   val fid_count : t -> int
+
+  (** Requests served by {e this} pool's server, by message kind (walk,
+      open, read, ...), sorted by kind; [Cpu.link_stats] reads its
+      link's this way. *)
+  val kind_counts : t -> (string * int) list
 
   (** [record_journal p true] starts recording [(clock reading, conn
       id, message kind)] per dispatched request — the interleaving
@@ -294,10 +229,13 @@ module Pool : sig
   (** The journal recorded so far, oldest first ([] if off). *)
   val journal : t -> (int * int * string) list
 
-  (** Install (or clear) a durability sink on the pool's scheduler:
-      it receives every dispatch record before the bounded ring can
-      evict it (see {!Sched.set_journal_sink}).  The WAL uses this to
-      persist the dispatch transcript without racing ring eviction. *)
+  (** Install (or clear) a durability sink that receives every
+      [(clock, conn_id, kind)] dispatch record as it is made — before
+      the bounded ring can evict anything, so a consumer that persists
+      entries (the WAL) never loses one to a ring drop.  With the ring
+      off, sink records are stamped with the clock's current position
+      rather than a reading, so installing a sink does not perturb
+      timestamps. *)
   val set_journal_sink : t -> (int * int * string -> unit) option -> unit
 end
 
@@ -341,14 +279,15 @@ end
 
 (** [serve_mount ns path fs] wires a pooled server for [fs] to a fresh
     client and mounts the client's view at [path] in [ns]: from then on
-    all access to [path] crosses the protocol.  Returns the server (for
-    stats).  [?wrap] interposes on the transport (e.g. {!Fault.wrap});
-    the client connects {e before} the mount, so a transport that
-    cannot complete version/attach raises with the namespace
-    untouched.  [?max_retries] sets the client's retry budget — raise
-    it alongside an aggressive fault schedule.  [?uname] (default
-    "help") labels the mount's own connection in per-connection
-    stats. *)
+    all access to [path] crosses the protocol.  Returns the pool, so
+    further clients can {!Pool.attach} to the same server — how a
+    session becomes multi-tenant (see [Session.attach_client]).
+    [?wrap] interposes on the transport (e.g. {!Fault.wrap}); the
+    client connects {e before} the mount, so a transport that cannot
+    complete version/attach raises with the namespace untouched.
+    [?max_retries] sets the client's retry budget — raise it alongside
+    an aggressive fault schedule.  [?uname] (default "help") labels the
+    mount's own connection in per-connection stats. *)
 val serve_mount :
   ?wrap:((string -> string) -> string -> string) ->
   ?max_retries:int ->
@@ -356,19 +295,4 @@ val serve_mount :
   Vfs.t ->
   string ->
   Vfs.filesystem ->
-  Server.t
-
-(** {!serve_mount}, also returning the pool so further clients can
-    {!Pool.attach} to the same server — how a session becomes
-    multi-tenant (see [Session.attach_client]).  [?max_queue] and
-    [?batch_limit] tune the pool's scheduler (see {!Pool.create}). *)
-val serve_mount_pool :
-  ?wrap:((string -> string) -> string -> string) ->
-  ?max_retries:int ->
-  ?max_queue:int ->
-  ?batch_limit:int ->
-  ?uname:string ->
-  Vfs.t ->
-  string ->
-  Vfs.filesystem ->
-  Server.t * Pool.t
+  Pool.t

@@ -1,7 +1,7 @@
 (** The 9P wire layer: message types, zero-copy decode, reusable encode.
 
     This module owns the bytes-on-the-wire half of the protocol; the
-    semantics live in {!Nine.Server}.  Two disciplines keep the hot
+    semantics live in {!Nine.Pool}.  Two disciplines keep the hot
     path cheap at thousands of connections:
 
     - {b Zero-copy decode.}  A {!cursor} is an (offset, limit) slice
@@ -87,14 +87,10 @@ module Writer : sig
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u32 : t -> int -> unit
-  val u64 : t -> int -> unit
   val raw : t -> string -> unit
 
   val str : t -> string -> unit
   (** 9P string: u16 length prefix then bytes. *)
-
-  val patch_u32 : t -> int -> int -> unit
-  (** [patch_u32 w at v] overwrites the 4 bytes at position [at]. *)
 
   val contents : t -> string
   val sub_string : t -> off:int -> len:int -> string
@@ -102,16 +98,8 @@ end
 
 (** {1 Encode} *)
 
-val start_frame : Writer.t -> int -> tag:int -> int
-(** Begin a frame: write a size placeholder, type and tag; returns the
-    position to hand to {!end_frame}. *)
-
-val end_frame : Writer.t -> int -> unit
-(** Patch the frame's size[4] from the current writer length. *)
-
-val encode_t_into : Writer.t -> tag:int -> tmsg -> unit
 val encode_r_into : Writer.t -> tag:int -> rmsg -> unit
-val encode_stat_into : Writer.t -> stat9 -> unit
+(** Append one framed R-message; its size[4] is patched in place. *)
 
 val encode_t : tag:int -> tmsg -> string
 val encode_r : tag:int -> rmsg -> string
@@ -127,13 +115,6 @@ type cursor = { c_buf : string; mutable c_at : int; c_end : int }
 
 val cursor : ?off:int -> ?len:int -> string -> cursor
 
-val get_u8 : cursor -> int
-val get_u16 : cursor -> int
-val get_u32 : cursor -> int
-val get_u64 : cursor -> int
-val get_str : cursor -> string
-val get_qid : cursor -> qid
-
 val decode_t : string -> int * tmsg
 (** [decode_t packet] is [(tag, msg)].
     @raise Bad_message on garbage. *)
@@ -142,16 +123,11 @@ val decode_t_at : string -> off:int -> len:int -> int * tmsg
 (** Decode one frame in place from a slice of a larger buffer. *)
 
 val decode_r : string -> int * rmsg
-val decode_r_at : string -> off:int -> len:int -> int * rmsg
 
 val decode_stats : string -> stat9 list
 (** Split a directory-read payload into its entries. *)
 
 (** {1 Frame scanning} *)
-
-val frame_length : string -> off:int -> int
-(** Length (including the size[4] prefix) of the frame starting at
-    [off].  @raise Bad_message if truncated or undersized. *)
 
 val iter_frames : string -> (off:int -> len:int -> unit) -> unit
 (** Walk a buffer of concatenated frames, calling [f] with each

@@ -56,8 +56,6 @@ let focus t w =
   charge t ~clicks:1 ~keys:0 ~travel:point_travel;
   t.focus <- Some w
 
-let focused t = t.focus
-
 let typescript w = Buffer.contents w.ts
 
 let type_command t ?(input = "") cmd =

@@ -52,8 +52,6 @@ val type_command : t -> ?input:string -> string -> Rc.result
 
 val typescript : win -> string
 
-val focused : t -> win option
-
 (** {1 The measured session} *)
 
 (** The paper's worked example, performed the conventional way: mail

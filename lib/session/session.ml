@@ -3,7 +3,6 @@ type t = {
   sh : Rc.t;
   help : Help.t;
   db : Db.t;
-  srv : Nine.Server.t;
   pool : Nine.Pool.t;
   metrics : Metrics.t;
   cpu : Cpu.t option;
@@ -180,7 +179,7 @@ let install_wal t a =
    and the boot-screen windows.  Boot runs both; recovery runs [wire]
    and restores a snapshot where boot would run [populate]. *)
 
-let wire ?w ?h ?place ~remote ?fault ?max_queue ?batch_limit () =
+let wire ?w ?h ?place ~remote ?fault () =
   (* each session starts a fresh observability ledger (and a fresh
      logical trace clock), so scripted sessions trace identically; the
      stock alert rules watch the serving layer from the first RPC *)
@@ -219,9 +218,8 @@ let wire ?w ?h ?place ~remote ?fault ?max_queue ?batch_limit () =
   (* the WAL attachment is created after the mount, so the server gets a
      cell it can read later: /mnt/help/wal appears once one exists *)
   let wal_ref = ref None in
-  let srv, pool =
-    Help_srv.mount_multi ?wrap:(Option.map Fault.wrap fault) ?max_retries
-      ?max_queue ?batch_limit
+  let pool =
+    Help_srv.mount ?wrap:(Option.map Fault.wrap fault) ?max_retries
       ~wal:(fun () -> !wal_ref)
       help
   in
@@ -254,7 +252,7 @@ let wire ?w ?h ?place ~remote ?fault ?max_queue ?batch_limit () =
       Some cpu
     end
   in
-  { ns; sh; help; db; srv; pool; metrics; cpu; wal = wal_ref; in_op = false }
+  { ns; sh; help; db; pool; metrics; cpu; wal = wal_ref; in_op = false }
 
 let populate t =
   (* build the demo binary so the debugger has a symbol table *)
@@ -267,9 +265,9 @@ let populate t =
       ignore (Help.open_file t.help ~dir:"/" ("/help/" ^ tool ^ "/stf")))
     [ "edit"; "cbr"; "db"; "mail"; "guide" ]
 
-let boot ?w ?h ?place ?(remote = false) ?fault ?max_queue ?batch_limit
-    ?wal:wal_store ?checkpoint_every () =
-  let t = wire ?w ?h ?place ~remote ?fault ?max_queue ?batch_limit () in
+let boot ?w ?h ?place ?(remote = false) ?fault ?wal:wal_store
+    ?checkpoint_every () =
+  let t = wire ?w ?h ?place ~remote ?fault () in
   populate t;
   (match wal_store with
   | None -> ()
@@ -548,8 +546,7 @@ let apply t op =
   | Wal.O_remove p -> remove_file t p
   | Wal.O_mkdir p -> mkdir t p
 
-let recover ?w ?h ?place ?(remote = false) ?fault ?max_queue ?batch_limit
-    ?checkpoint_every store =
+let recover ?w ?h ?place ?(remote = false) ?fault ?checkpoint_every store =
   let sn =
     match Wal.latest_snapshot store with
     | Some sn -> sn
@@ -559,7 +556,7 @@ let recover ?w ?h ?place ?(remote = false) ?fault ?max_queue ?batch_limit
      persisted it; recovery refuses rather than silently diverging. *)
   Wal.verify_journal store;
   (* 1. wire: rebuild what the snapshot does not hold *)
-  let t = wire ?w ?h ?place ~remote ?fault ?max_queue ?batch_limit () in
+  let t = wire ?w ?h ?place ~remote ?fault () in
   let a = Wal.attach ?checkpoint_every ~recording:false store in
   let get = Wal.chunk_get store in
   (* 2. restore in place of populate: the RAM tree and the windows *)

@@ -14,9 +14,9 @@ type t = {
   sh : Rc.t;
   help : Help.t;
   db : Db.t;
-  srv : Nine.Server.t;
   pool : Nine.Pool.t;
-      (** the [/mnt/help] connection pool; {!attach_client} adds seats *)
+      (** the [/mnt/help] server and its connection pool;
+          {!attach_client} adds seats *)
   metrics : Metrics.t;
   cpu : Cpu.t option;  (** the CPU server, when booted with [~remote:true] *)
   wal : Wal.t option ref;
@@ -69,8 +69,6 @@ val boot :
   ?place:Hplace.strategy ->
   ?remote:bool ->
   ?fault:Fault.config ->
-  ?max_queue:int ->
-  ?batch_limit:int ->
   ?wal:Wal.store ->
   ?checkpoint_every:int ->
   unit ->
@@ -102,8 +100,6 @@ val recover :
   ?place:Hplace.strategy ->
   ?remote:bool ->
   ?fault:Fault.config ->
-  ?max_queue:int ->
-  ?batch_limit:int ->
   ?checkpoint_every:int ->
   Wal.store ->
   t

@@ -105,7 +105,6 @@ let proc_stdin proc = proc.io.stdin
 let proc_out proc = proc.io.out
 let proc_err proc = proc.io.err
 let proc_get = lookup
-let proc_set = assign
 let proc_shell proc = proc.sh
 
 (* ------------------------------------------------------------------ *)

@@ -76,10 +76,6 @@ val proc_err : proc -> Buffer.t
 (** Variable lookup as seen by the running command. *)
 val proc_get : proc -> string -> string list option
 
-(** Set a variable in the running command's scope (dynamic: innermost
-    frame holding the name, else global). *)
-val proc_set : proc -> string -> string list -> unit
-
 (** The shell owning this proc (to run sub-commands from a native). *)
 val proc_shell : proc -> t
 

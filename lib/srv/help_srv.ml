@@ -510,15 +510,11 @@ let install_glue sh =
   Rc.register sh "/bin/help/parse" parse_native;
   Rc.register sh "/bin/help/buf" buf_native
 
-let mount_multi ?wrap ?max_retries ?max_queue ?batch_limit ?wal help =
-  let ns = Help.ns help in
-  let sh = Help.shell help in
+let mount ?wrap ?max_retries ?wal help =
   let fs = filesystem ?wal help in
-  let srv, pool =
-    Nine.serve_mount_pool ?wrap ?max_retries ?max_queue ?batch_limit
-      ~uname:"help" ns "/mnt/help" fs
+  let pool =
+    Nine.serve_mount ?wrap ?max_retries ~uname:"help" (Help.ns help)
+      "/mnt/help" fs
   in
-  install_glue sh;
-  (srv, pool)
-
-let mount ?wrap ?max_retries help = fst (mount_multi ?wrap ?max_retries help)
+  install_glue (Help.shell help);
+  pool

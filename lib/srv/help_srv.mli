@@ -48,34 +48,23 @@
 
 (** Build the server for this help instance, mount it at [/mnt/help] in
     the instance's namespace, and register the glue natives.  Returns
-    the protocol server for statistics.  [?wrap] interposes on the
-    transport (e.g. [Fault.wrap] for fault injection); if the wrapped
-    transport cannot complete version/attach, the exception propagates
-    and nothing is mounted.  [?max_retries] is the client's retry
-    budget (see [Nine.serve_mount]). *)
+    the connection pool, so further clients can attach to the same
+    server with their own fid spaces (the mount's own connection
+    carries uname "help"; [Session.attach_client] is the usual caller),
+    and for statistics.  [?wrap] interposes on the transport (e.g.
+    [Fault.wrap] for fault injection); if the wrapped transport cannot
+    complete version/attach, the exception propagates and nothing is
+    mounted.  [?max_retries] is the client's retry budget (see
+    [Nine.serve_mount]).  [?wal] supplies the session's write-ahead log
+    attachment; it is a thunk because the attachment is created after
+    the mount — the tree reads it on every access, so [wal/] appears as
+    soon as one exists. *)
 val mount :
   ?wrap:((string -> string) -> string -> string) ->
   ?max_retries:int ->
-  Help.t ->
-  Nine.Server.t
-
-(** {!mount}, also returning the connection pool so further clients can
-    attach to the same server with their own fid spaces (the mount's
-    own connection carries uname "help").  [Session.attach_client] is
-    the usual caller.  [?max_queue] and [?batch_limit] tune the pool's
-    cooperative scheduler (see [Nine.Pool.create]) — benches serving
-    thousands of seats raise them.  [?wal] supplies the session's
-    write-ahead log attachment; it is a thunk because the attachment is
-    created after the mount — the tree reads it on every access, so
-    [wal/] appears as soon as one exists. *)
-val mount_multi :
-  ?wrap:((string -> string) -> string -> string) ->
-  ?max_retries:int ->
-  ?max_queue:int ->
-  ?batch_limit:int ->
   ?wal:(unit -> Wal.t option) ->
   Help.t ->
-  Nine.Server.t * Nine.Pool.t
+  Nine.Pool.t
 
 (** The raw filesystem (pre-9P), for tests that want to poke it
     directly. *)

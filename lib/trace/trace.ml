@@ -207,22 +207,6 @@ let find_value name =
   | Some (Gauge g) -> Some g.g_v
   | _ -> None
 
-let find_prefix prefix =
-  let plen = String.length prefix in
-  let matches name =
-    String.length name >= plen && String.sub name 0 plen = prefix
-  in
-  Hashtbl.fold
-    (fun name inst acc ->
-      if not (matches name) then acc
-      else
-        match inst with
-        | Counter c -> (name, c.c_v) :: acc
-        | Gauge g -> (name, g.g_v) :: acc
-        | Histogram _ -> acc)
-    registry []
-  |> List.sort compare
-
 (* ------------------------------------------------------------------ *)
 (* Request context and head sampling                                   *)
 
@@ -239,7 +223,6 @@ let request_id () =
   !next_req
 
 let cur_req = ref 0
-let current_request () = !cur_req
 let sample_seed = ref 0
 let sample_rate = ref 1
 
@@ -357,7 +340,7 @@ let with_request ~reqid ?args name f =
       raise e
 
 (* ------------------------------------------------------------------ *)
-(* Exporters                                                           *)
+(* Exporter                                                            *)
 
 let spans_text ?(dropped = 0) spans =
   let b = Buffer.create 512 in
@@ -374,45 +357,6 @@ let spans_text ?(dropped = 0) spans =
     spans;
   if dropped > 0 then
     Buffer.add_string b (Printf.sprintf "# %d spans dropped\n" dropped);
-  Buffer.contents b
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let spans_json spans =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":1,\"tid\":%d"
-           (json_escape sp.sp_name) sp.sp_start sp.sp_dur (sp.sp_depth + 1));
-      if sp.sp_args <> [] then begin
-        Buffer.add_string b ",\"args\":{";
-        List.iteri
-          (fun j (k, v) ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b
-              (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-          sp.sp_args;
-        Buffer.add_char b '}'
-      end;
-      Buffer.add_char b '}')
-    spans;
-  Buffer.add_string b "]}";
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -559,14 +503,6 @@ let window_quantiles name =
       let a, _ = pair in
       ( a.sn_at, dc, delta_percentile d 50., delta_percentile d 95.,
         delta_percentile d 99. ))
-    (snap_pairs ())
-
-let window_gc () =
-  List.map
-    (fun (a, b) ->
-      ( a.sn_at,
-        int_of_float (b.sn_minor -. a.sn_minor),
-        b.sn_majors - a.sn_majors ))
     (snap_pairs ())
 
 let () =

@@ -110,12 +110,6 @@ val metrics_text : unit -> string
 (** Current value of a registered counter or gauge by name. *)
 val find_value : string -> int option
 
-(** All registered counters and gauges whose name starts with the given
-    prefix, sorted by name — e.g. [find_prefix "nine.conn."] collects
-    the per-connection serving stats.  Histograms are omitted (use
-    {!histogram_stats}). *)
-val find_prefix : string -> (string * int) list
-
 (** {1 Request context and head sampling}
 
     The serving layer allocates a request id per RPC at scheduler
@@ -146,10 +140,6 @@ val sampling : unit -> int * int
     — the whole nested tree — with [reqid] (see {!request_text}). *)
 val with_request :
   reqid:int -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-
-(** The request id spans are currently being tagged with (0 outside any
-    {!with_request}). *)
-val current_request : unit -> int
 
 (** {1 Spans} *)
 
@@ -199,25 +189,18 @@ val peek : unit -> span list * int
 val requests : unit -> int list
 
 (** All buffered spans tagged with the request id, sorted into preorder
-    (by start time, parents before children). *)
-val request_spans : int -> span list
-
-(** The request's span tree rendered as {!spans_text}; [None] when no
-    buffered span carries the id (never sampled, or already evicted or
-    drained).  This is the content of [/mnt/help/trace/<reqid>]. *)
+    (by start time, parents before children) and rendered as
+    {!spans_text}; [None] when no buffered span carries the id (never
+    sampled, or already evicted or drained).  This is the content of
+    [/mnt/help/trace/<reqid>]. *)
 val request_text : int -> string option
 
-(** {1 Exporters} *)
+(** {1 Exporter} *)
 
 (** Human-readable, one span per line ([start +dur name k=v ...]),
     indented by nesting depth; a final [# N spans dropped] line marks
     ring overflow. *)
 val spans_text : ?dropped:int -> span list -> string
-
-(** Chrome trace-event JSON (load in [chrome://tracing] or Perfetto):
-    an object with a [traceEvents] array of complete ([ph:"X"])
-    events. *)
-val spans_json : span list -> string
 
 (** {1 Rolling windows}
 
@@ -251,12 +234,6 @@ val window_series : string -> (int * int) list
     (the exact observed max is not known per-slot). *)
 val window_quantiles : string -> (int * int * int * int * int) list
 
-(** Per-slot GC activity, oldest first:
-    [(slot, minor_words, major_collections)].  The only window data
-    derived from the process rather than the registry — reported here
-    and deliberately kept out of {!metrics_text}. *)
-val window_gc : unit -> (int * int * int) list
-
 (** {1 Alerts}
 
     A small threshold-watch table over the ledger, evaluated only when
@@ -275,10 +252,8 @@ type alert
 (** Parse one rule line; [Error] carries a human-readable reason. *)
 val parse_alert : string -> (alert, string) result
 
-(** Install a rule, replacing any rule with the same name. *)
-val add_alert : alert -> unit
-
-(** [parse_alert] + [add_alert] in one step. *)
+(** Parse a rule line and install it, replacing any rule with the same
+    name. *)
 val install_alert : string -> (alert, string) result
 
 (** The installed rules rendered back to their line form, in table

@@ -67,20 +67,6 @@ let find_literal_rope ?(start = 0) rope sub =
 
 let rope_bol rope pos = pos = 0 || Rope.get rope (pos - 1) = '\n'
 
-let matches_rope re rope =
-  let n = Rope.length rope in
-  let lit = Regexp.required_literal re in
-  if lit <> "" && find_literal_rope rope lit = None then false
-  else begin
-    let sc = Regexp.Scan.create ~bol:true re in
-    let matched = ref false in
-    (try
-       Rope.iter_chunks rope ~pos:0 ~len:n (fun s off len ->
-           if Regexp.Scan.feed sc s ~pos:off ~len then raise Exit)
-     with Exit -> matched := true);
-    !matched || Regexp.Scan.finish sc
-  end
-
 (* Leftmost-longest match in the rope at or after [pos]: literal
    prefilter, then a streaming DFA existence pass, then the streaming
    NFA sweep for the exact span — the rope twin of [Regexp.search]. *)

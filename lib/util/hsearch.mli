@@ -22,8 +22,6 @@ val find_rope : needle -> ?start:int -> Rope.t -> (int * int) option
     identical [(start, stop)] results, streaming execution. *)
 val search_rope : Regexp.t -> Rope.t -> int -> (int * int) option
 
-val matches_rope : Regexp.t -> Rope.t -> bool
-
 (** All non-overlapping leftmost-longest matches (agrees with
     [Regexp.search_all] on the flattened text). *)
 val search_all_rope : Regexp.t -> Rope.t -> (int * int) list

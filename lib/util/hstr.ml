@@ -33,10 +33,3 @@ let starts_with ~prefix s =
   &&
   let rec eq i = i = n || (s.[i] = prefix.[i] && eq (i + 1)) in
   eq 0
-
-let ends_with ~suffix s =
-  let n = String.length suffix and m = String.length s in
-  m >= n
-  &&
-  let rec eq i = i = n || (s.[m - n + i] = suffix.[i] && eq (i + 1)) in
-  eq 0

@@ -9,4 +9,3 @@ val find : ?start:int -> string -> sub:string -> int option
 
 val contains : string -> sub:string -> bool
 val starts_with : prefix:string -> string -> bool
-val ends_with : suffix:string -> string -> bool

@@ -157,7 +157,6 @@ let create_store () =
 
 let log_pos s = Buffer.length s.log
 let chunk_count s = Hashtbl.length s.chunks
-let chunk_bytes s = s.c_bytes
 
 let chunk_get s key =
   match Hashtbl.find_opt s.chunks key with
@@ -199,9 +198,7 @@ let truncate_log s n =
 
 let snapshots s = s.snaps
 let latest_snapshot s = match s.snaps with [] -> None | sn :: _ -> Some sn
-let sn_clock sn = sn.sn_clock
 let sn_log_pos sn = sn.sn_log_pos
-let sn_ops sn = sn.sn_ops
 let sn_vfs sn = sn.sn_vfs
 let sn_rc sn = sn.sn_rc
 let sn_help sn = sn.sn_help
@@ -379,8 +376,6 @@ let journal_entry t (clock, conn, kind) =
     t.st.jseq <- t.st.jseq + 1;
     t.st.jentries <- (t.st.jseq, clock, conn, kind) :: t.st.jentries
   end
-
-let journal_length s = List.length s.jentries
 
 let verify_journal s =
   let rec check expect prev_clock = function

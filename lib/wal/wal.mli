@@ -15,7 +15,7 @@
     A {!store} is the durable half: the append-only log, the
     content-addressed chunk store shared by all snapshots, the snapshot
     records, and the journal sidecar fed by the scheduler's dispatch
-    sink (see [Sched.set_journal_sink]).  A {!t} is one session's
+    sink (see [Nine.Pool.set_journal_sink]).  A {!t} is one session's
     attachment to a store: it carries the recording mode, the
     checkpoint policy, and per-attachment recovery statistics.
 
@@ -76,8 +76,6 @@ val log_pos : store -> int
 
 val chunk_count : store -> int
 
-val chunk_bytes : store -> int
-
 val chunk_get : store -> string -> string
 (** Fetch a chunk by digest key.  @raise Corrupt on an unknown key. *)
 
@@ -99,9 +97,7 @@ val snapshots : store -> snapshot list
 
 val latest_snapshot : store -> snapshot option
 
-val sn_clock : snapshot -> int
 val sn_log_pos : snapshot -> int
-val sn_ops : snapshot -> int
 val sn_vfs : snapshot -> string
 val sn_rc : snapshot -> string
 val sn_help : snapshot -> string
@@ -174,7 +170,8 @@ val ops_after : store -> pos:int -> (int * op) list * int
 val prime : t -> snapshot -> unit
 (** Seed the attachment's op counter from the snapshot before tail
     replay, so replaying [n] tail records through {!log} leaves
-    {!op_count} at the reference run's value ([sn_ops] + [n]). *)
+    {!op_count} at the reference run's value (the snapshot's op count
+    plus [n]). *)
 
 val note_recovery : t -> ops:int -> torn:int -> unit
 (** Record per-attachment recovery statistics ([ops] replayed, [torn]
@@ -190,12 +187,10 @@ val set_recovery_us : t -> int -> unit
 (** {1 Journal sidecar} *)
 
 val journal_entry : t -> int * int * string -> unit
-(** Sink target for [Sched.set_journal_sink]: persist one
+(** Sink target for [Nine.Pool.set_journal_sink]: persist one
     [(clock, conn, kind)] dispatch record under the next sequence
     number.  In replay mode only the [wal.journal.entries] counter
     advances. *)
-
-val journal_length : store -> int
 
 val verify_journal : store -> unit
 (** Check sequence contiguity and clock monotonicity.

@@ -6,6 +6,12 @@ let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 
+(* a pool over [fs] and the transport of its one connection, spoken to
+   frame by frame *)
+let direct fs =
+  let pool = Nine.Pool.create fs in
+  (pool, Nine.Pool.transport (Nine.Pool.attach pool))
+
 (* ------------------------------------------------------------------ *)
 (* Codec fuzzing: arbitrary bytes never raise anything but Bad_message *)
 
@@ -181,17 +187,17 @@ let fid_tests =
   [
     Alcotest.test_case "remove error still clunks the fid" `Quick (fun () ->
         let ns = Vfs.create () in
-        let srv = Nine.serve_mount ns "/m" (Vfs.ramfs ns) in
+        let pool = Nine.serve_mount ns "/m" (Vfs.ramfs ns) in
         Vfs.mkdir_p ns "/m/d";
         Vfs.write_file ns "/m/d/f" "x";
-        check_int "root fid only" 1 (Nine.Server.fid_count srv);
+        check_int "root fid only" 1 (Nine.Pool.fid_count pool);
         (* removing a non-empty directory fails after a successful walk:
            per 9P the walked fid must be clunked anyway *)
         check_bool "remove refused" true
           (match Vfs.remove ns "/m/d" with
           | exception Vfs.Error Vfs.Eperm -> true
           | _ -> false);
-        check_int "no leaked fid" 1 (Nine.Server.fid_count srv));
+        check_int "no leaked fid" 1 (Nine.Pool.fid_count pool));
     Alcotest.test_case "readdir failure mid-loop still clunks" `Quick
       (fun () ->
         (* a transport that permanently loses every continuation read:
@@ -199,11 +205,11 @@ let fid_tests =
            exhausted retries mid-loop — the open fid must still be
            clunked *)
         let ns = Vfs.create () in
-        let srv = Nine.Server.create (Vfs.ramfs ns) in
+        let pool, rpc = direct (Vfs.ramfs ns) in
         let lossy packet =
           match Nine.decode_t packet with
           | _, Nine.Tread { offset; _ } when offset > 0 -> raise Nine.Timeout
-          | _ -> Nine.Server.rpc srv packet
+          | _ -> rpc packet
         in
         let c = Nine.Client.connect lossy in
         let outer = Vfs.create () in
@@ -213,16 +219,14 @@ let fid_tests =
           (match Vfs.readdir outer "/m" with
           | exception Vfs.Error (Vfs.Eio _) -> true
           | _ -> false);
-        check_int "no leaked fid" 1 (Nine.Server.fid_count srv));
+        check_int "no leaked fid" 1 (Nine.Pool.fid_count pool));
     Alcotest.test_case "short walk binds no fid, client raises Enonexist"
       `Quick (fun () ->
         let ns = Vfs.create () in
         let fs = Vfs.ramfs ns in
-        let srv = Nine.Server.create fs in
+        let pool, raw = direct fs in
         fs.Vfs.fs_create [ "a" ] ~dir:true;
-        let rpc msg =
-          snd (Nine.decode_r (Nine.Server.rpc srv (Nine.encode_t ~tag:1 msg)))
-        in
+        let rpc msg = snd (Nine.decode_r (raw (Nine.encode_t ~tag:1 msg))) in
         ignore (rpc (Nine.Tversion { msize = 8192; version = "9P2000.help" }));
         ignore (rpc (Nine.Tattach { fid = 0; uname = "u"; aname = "" }));
         (* server side: partial walk answers with fewer qids and does
@@ -235,20 +239,20 @@ let fid_tests =
         (match rpc (Nine.Tstat { fid = 1 }) with
         | Nine.Rerror _ -> ()
         | _ -> Alcotest.fail "short walk bound newfid");
-        check_int "only root fid" 1 (Nine.Server.fid_count srv);
+        check_int "only root fid" 1 (Nine.Pool.fid_count pool);
         (* client side: a short walk is Enonexist, not a dangling fid *)
-        let c = Nine.Client.connect (Nine.Server.rpc srv) in
+        let c = Nine.Client.connect raw in
         let outer = Vfs.create () in
         Vfs.mount outer "/m" (Nine.Client.filesystem c);
         check_bool "client rejects short walk" true
           (match Vfs.stat outer "/m/a/nope/deep" with
           | exception Vfs.Error Vfs.Enonexist -> true
           | _ -> false);
-        check_int "still only root fid" 1 (Nine.Server.fid_count srv));
+        check_int "still only root fid" 1 (Nine.Pool.fid_count pool));
     Alcotest.test_case "every client op leaves only the root fid" `Quick
       (fun () ->
         let ns = Vfs.create () in
-        let srv = Nine.serve_mount ns "/m" (Vfs.ramfs ns) in
+        let pool = Nine.serve_mount ns "/m" (Vfs.ramfs ns) in
         Vfs.write_file ns "/m/f" "hello";
         ignore (Vfs.read_file ns "/m/f");
         ignore (Vfs.stat ns "/m/f");
@@ -258,7 +262,7 @@ let fid_tests =
         ignore
           (try Vfs.read_file ns "/m/f"
            with Vfs.Error Vfs.Enonexist -> "");
-        check_int "no leaks" 1 (Nine.Server.fid_count srv));
+        check_int "no leaks" 1 (Nine.Pool.fid_count pool));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -269,11 +273,11 @@ let protocol_tests =
     Alcotest.test_case "client tags never collide with NOTAG" `Quick
       (fun () ->
         let ns = Vfs.create () in
-        let srv = Nine.Server.create (Vfs.ramfs ns) in
+        let _, rpc = direct (Vfs.ramfs ns) in
         let watched packet =
           let tag, _ = Nine.decode_t packet in
           if tag = 0xffff then Alcotest.fail "client used NOTAG";
-          Nine.Server.rpc srv packet
+          rpc packet
         in
         let c = Nine.Client.connect watched in
         let outer = Vfs.create () in
@@ -288,11 +292,11 @@ let protocol_tests =
     Alcotest.test_case "negotiated msize bounds write framing" `Quick
       (fun () ->
         let ns = Vfs.create () in
-        let srv = Nine.Server.create (Vfs.ramfs ns) in
+        let _, rpc = direct (Vfs.ramfs ns) in
         let max_frame = ref 0 in
         let small packet =
           max_frame := max !max_frame (String.length packet);
-          let reply = Nine.Server.rpc srv packet in
+          let reply = rpc packet in
           match Nine.decode_r reply with
           | tag, Nine.Rversion { version; _ } ->
               (* force a tiny msize on the client *)
@@ -308,10 +312,8 @@ let protocol_tests =
         check_bool "frames within msize" true (!max_frame <= 300));
     Alcotest.test_case "server refuses oversized packets" `Quick (fun () ->
         let ns = Vfs.create () in
-        let srv = Nine.Server.create (Vfs.ramfs ns) in
-        let rpc msg =
-          snd (Nine.decode_r (Nine.Server.rpc srv (Nine.encode_t ~tag:1 msg)))
-        in
+        let _, raw = direct (Vfs.ramfs ns) in
+        let rpc msg = snd (Nine.decode_r (raw (Nine.encode_t ~tag:1 msg))) in
         ignore (rpc (Nine.Tversion { msize = 256; version = "9P2000.help" }));
         ignore (rpc (Nine.Tattach { fid = 0; uname = "u"; aname = "" }));
         match
@@ -340,7 +342,7 @@ let snapshot () =
 let faulty_run config =
   Trace.reset ();
   let ns = Vfs.create () in
-  let srv =
+  let pool =
     Nine.serve_mount ~wrap:(Fault.wrap config) ~max_retries:8 ns "/m"
       (Vfs.ramfs ns)
   in
@@ -354,7 +356,7 @@ let faulty_run config =
     ignore (Vfs.stat ns "/m/d/g");
     ignore (Vfs.readdir ns "/m")
   done;
-  (Buffer.contents acc, snapshot (), Nine.Server.fid_count srv)
+  (Buffer.contents acc, snapshot (), Nine.Pool.fid_count pool)
 
 let injection_tests =
   [

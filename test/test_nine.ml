@@ -17,6 +17,10 @@ let roundtrip_r msg =
   Alcotest.(check int) "tag" tag tag';
   msg'
 
+(* one pooled connection to [fs], spoken to frame by frame *)
+let direct fs =
+  Nine.Pool.transport (Nine.Pool.attach (Nine.Pool.create fs))
+
 let qid = { Nine.q_type = Nine.qtdir; q_version = 3; q_path = 0x1234 }
 
 let codec_tests =
@@ -106,16 +110,15 @@ let e2e_tests =
     Alcotest.test_case "read/write through the mount" `Quick (fun () ->
         let ns = Vfs.create () in
         let backing = Vfs.ramfs ns in
-        let srv = Nine.serve_mount ns "/mnt/nine" backing in
+        let pool = Nine.serve_mount ns "/mnt/nine" backing in
         Vfs.write_file ns "/mnt/nine/f" "over the wire";
         check_str "read back" "over the wire" (Vfs.read_file ns "/mnt/nine/f");
-        let stats = Nine.Server.stats srv in
+        let stats = Nine.Pool.kind_counts pool in
         check_bool "walks happened" true (List.mem_assoc "walk" stats);
         check_bool "writes happened" true (List.mem_assoc "write" stats));
     Alcotest.test_case "directories through the mount" `Quick (fun () ->
         let ns = Vfs.create () in
-        let srv = Nine.serve_mount ns "/mnt/nine" (Vfs.ramfs ns) in
-        ignore srv;
+        ignore (Nine.serve_mount ns "/mnt/nine" (Vfs.ramfs ns));
         Vfs.mkdir_p ns "/mnt/nine/d";
         Vfs.write_file ns "/mnt/nine/d/a" "1";
         Vfs.write_file ns "/mnt/nine/d/b" "2";
@@ -147,9 +150,9 @@ let e2e_tests =
         (* failure injection: flip a byte in every server reply; the
            client retries, then gives up with a transport error *)
         let ns = Vfs.create () in
-        let srv = Nine.Server.create (Vfs.ramfs ns) in
+        let rpc = direct (Vfs.ramfs ns) in
         let corrupt packet =
-          let reply = Bytes.of_string (Nine.Server.rpc srv packet) in
+          let reply = Bytes.of_string (rpc packet) in
           if Bytes.length reply > 4 then
             Bytes.set reply 4
               (Char.chr (Char.code (Bytes.get reply 4) lxor 0x55));
@@ -162,10 +165,10 @@ let e2e_tests =
     Alcotest.test_case "a persistent tag mismatch fails after retries" `Quick
       (fun () ->
         let ns = Vfs.create () in
-        let srv = Nine.Server.create (Vfs.ramfs ns) in
+        let rpc = direct (Vfs.ramfs ns) in
         let retag packet =
           (* answer with the wrong tag *)
-          let reply = Bytes.of_string (Nine.Server.rpc srv packet) in
+          let reply = Bytes.of_string (rpc packet) in
           Bytes.set reply 5 '\xee';
           Bytes.set reply 6 '\xbb';
           Bytes.to_string reply
@@ -179,10 +182,10 @@ let e2e_tests =
         (* drop exactly one read reply: the client times out, retries,
            and the caller never notices *)
         let ns = Vfs.create () in
-        let srv = Nine.Server.create (Vfs.ramfs ns) in
+        let rpc = direct (Vfs.ramfs ns) in
         let dropped = ref false in
         let flaky packet =
-          let reply = Nine.Server.rpc srv packet in
+          let reply = rpc packet in
           match Nine.decode_t packet with
           | _, Nine.Tread _ when not !dropped ->
               dropped := true;
@@ -226,9 +229,9 @@ let protocol_tests =
         let fs = Vfs.ramfs ns in
         Vfs.mount ns "/m" fs;
         Vfs.write_file ns "/m/f" "x";
-        let srv = Nine.Server.create fs in
+        let raw = direct fs in
         let rpc msg =
-          let tag, r = Nine.decode_r (Nine.Server.rpc srv (Nine.encode_t ~tag:1 msg)) in
+          let tag, r = Nine.decode_r (raw (Nine.encode_t ~tag:1 msg)) in
           check_int "tag" 1 tag;
           r
         in
@@ -250,10 +253,8 @@ let protocol_tests =
         let fs = Vfs.ramfs ns in
         Vfs.mount ns "/m" fs;
         Vfs.mkdir_p ns "/m/a";
-        let srv = Nine.Server.create fs in
-        let rpc msg =
-          snd (Nine.decode_r (Nine.Server.rpc srv (Nine.encode_t ~tag:1 msg)))
-        in
+        let raw = direct fs in
+        let rpc msg = snd (Nine.decode_r (raw (Nine.encode_t ~tag:1 msg))) in
         ignore (rpc (Nine.Tversion { msize = 8192; version = "9P2000.help" }));
         ignore (rpc (Nine.Tattach { fid = 0; uname = "u"; aname = "" }));
         match rpc (Nine.Twalk { fid = 0; newfid = 1; names = [ "a"; "nope"; "deep" ] }) with
@@ -277,10 +278,8 @@ let protocol_tests =
         Vfs.mount ns "/m" fs;
         Vfs.mkdir_p ns "/m/d";
         Vfs.write_file ns "/m/f" "x";
-        let srv = Nine.Server.create fs in
-        let rpc msg =
-          snd (Nine.decode_r (Nine.Server.rpc srv (Nine.encode_t ~tag:1 msg)))
-        in
+        let raw = direct fs in
+        let rpc msg = snd (Nine.decode_r (raw (Nine.encode_t ~tag:1 msg))) in
         ignore (rpc (Nine.Tversion { msize = 8192; version = "9P2000.help" }));
         ignore (rpc (Nine.Tattach { fid = 0; uname = "u"; aname = "" }));
         (match rpc (Nine.Twalk { fid = 0; newfid = 1; names = [ "d" ] }) with

@@ -38,6 +38,13 @@ let raw_pool n =
     conns;
   (ns, pool, conns)
 
+(* live fids in one connection's table, from the pool's stats *)
+let fids_of pool c =
+  let id = Nine.Pool.conn_id c in
+  List.fold_left
+    (fun acc (i, _, _, fids) -> if i = id then fids else acc)
+    0 (Nine.Pool.stats pool)
+
 (* ------------------------------------------------------------------ *)
 (* Codec + queue cancellation                                          *)
 
@@ -113,9 +120,7 @@ let isolation_tests =
               (Hstr.find ename ~sub:"unknown fid" <> None)
         | _ -> Alcotest.fail "expected Rerror");
         ignore b;
-        check_int "A keeps root + 7" 2
-          (Nine.Server.conn_fid_count
-             (List.nth (Nine.Server.connections (Nine.Pool.server pool)) 0));
+        check_int "A keeps root + 7" 2 (fids_of pool a);
         ignore (Nine.Pool.served a));
   ]
 
@@ -136,8 +141,7 @@ let isolation_property =
                (tmsg ~tag:(10 + newfid)
                   (Nine.Twalk { fid = 0; newfid; names = [] }))))
         [ 1; 2; 3; 4; 5 ];
-      let sconn_a = List.nth (Nine.Server.connections (Nine.Pool.server pool)) 0 in
-      let before = Nine.Server.conn_fid_count sconn_a in
+      let before = fids_of pool a in
       List.iteri
         (fun i fid ->
           ignore
@@ -147,7 +151,7 @@ let isolation_property =
                (tmsg ~tag:(200 + i)
                   (Nine.Twalk { fid; newfid = fid + 1; names = [] }))))
         fids;
-      Nine.Server.conn_fid_count sconn_a = before)
+      fids_of pool a = before)
 
 (* ------------------------------------------------------------------ *)
 (* Fairness and determinism                                            *)
@@ -229,8 +233,7 @@ let fairness_tests =
         check_int "one root fid per seat" 3 (Nine.Pool.fid_count pool);
         Nine.Pool.disconnect (List.nth conns 1);
         check_int "two seats left" 2 (Nine.Pool.fid_count pool);
-        check_int "server agrees" 2
-          (List.length (Nine.Server.connections (Nine.Pool.server pool))));
+        check_int "stats agree" 2 (List.length (Nine.Pool.stats pool)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -277,7 +280,7 @@ let session_tests =
     Alcotest.test_case "attach_client: a second program drives help" `Quick
       (fun () ->
         let s = Session.boot () in
-        let baseline = Nine.Server.fid_count s.srv in
+        let baseline = Nine.Pool.fid_count s.pool in
         let conn, fs = Session.attach_client ~uname:"probe" s in
         let scratch = Vfs.create () in
         Vfs.mount scratch "/h" fs;
@@ -299,7 +302,38 @@ let session_tests =
         (* no cross-connection fid leaks once the probe leaves *)
         Nine.Pool.disconnect conn;
         check_int "fids back to baseline" baseline
-          (Nine.Server.fid_count s.srv));
+          (Nine.Pool.fid_count s.pool));
+    Alcotest.test_case "a fid's file is closed however it ends" `Quick
+      (fun () ->
+        (* closing a window's ctl runs an unterminated last command, so
+           the tag shows whether the close ran.  Tclunk, disconnect and
+           Tversion (which clunks every fid, per version(5)) must all
+           run it. *)
+        let s = Session.boot () in
+        let baseline = Nine.Pool.fid_count s.pool in
+        let ending name finish =
+          let w = Help.new_window s.help () in
+          let c = Nine.Pool.attach ~uname:name s.pool in
+          let send m = ignore (Nine.Pool.transport c (tmsg ~tag:1 m)) in
+          ignore (Nine.Pool.transport c (version ~tag:1));
+          ignore (Nine.Pool.transport c (attach ~tag:2));
+          send
+            (Nine.Twalk
+               { fid = 0; newfid = 1;
+                 names = [ string_of_int (Hwin.id w); "ctl" ] });
+          send (Nine.Topen { fid = 1; mode = Nine.Owrite });
+          send (Nine.Twrite { fid = 1; offset = 0; data = "tag probe " ^ name });
+          finish c send;
+          check_str (name ^ " ran the pending command") ("probe " ^ name)
+            (Hwin.tag_text w);
+          Nine.Pool.disconnect c
+        in
+        ending "clunk" (fun _ send -> send (Nine.Tclunk { fid = 1 }));
+        ending "disconnect" (fun c _ -> Nine.Pool.disconnect c);
+        ending "version" (fun _ send ->
+            send (Nine.Tversion { msize = 65536; version = "9P2000.help" }));
+        check_int "fids back to baseline" baseline
+          (Nine.Pool.fid_count s.pool));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -420,7 +454,7 @@ let scheduler_tests =
       `Quick (fun () ->
         let s = Session.boot () in
         let active0 = counter_value "nine.conn.active" in
-        let fid0 = Nine.Server.fid_count s.srv in
+        let fid0 = Nine.Pool.fid_count s.pool in
         let clients =
           List.init 5 (fun i ->
               fst (Session.attach_client ~uname:(Printf.sprintf "churn%d" i) s))
@@ -433,7 +467,7 @@ let scheduler_tests =
         Nine.Pool.disconnect (List.hd clients);
         check_int "gauge back to baseline" active0
           (counter_value "nine.conn.active");
-        check_int "fids back to baseline" fid0 (Nine.Server.fid_count s.srv));
+        check_int "fids back to baseline" fid0 (Nine.Pool.fid_count s.pool));
     Alcotest.test_case "the registry returns to its size after churn" `Quick
       (fun () ->
         let s = Session.boot () in

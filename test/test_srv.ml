@@ -17,8 +17,8 @@ let fresh () =
   Vfs.mkdir_p ns "/src";
   Vfs.write_file ns "/src/f.txt" "line one\nline two\n";
   let help = Help.create ~w:80 ~h:24 ns sh in
-  let srv = Help_srv.mount help in
-  (ns, sh, help, srv)
+  let pool = Help_srv.mount help in
+  (ns, sh, help, pool)
 
 let sh_out sh src =
   let r = Rc.run sh src in
@@ -123,10 +123,10 @@ let tests =
         let r = Rc.run sh (Printf.sprintf "eval `{help/parse -c}; echo $file $line") in
         check_str "evaled" "/src/f.txt 1\n" r.Rc.r_out);
     Alcotest.test_case "server statistics show protocol traffic" `Quick (fun () ->
-        let _, sh, help, srv = fresh () in
+        let _, sh, help, pool = fresh () in
         let w = Help.new_window help ~body:"x" () in
         let _ = Rc.run sh (Printf.sprintf "cat /mnt/help/%d/body" (Hwin.id w)) in
-        let stats = Nine.Server.stats srv in
+        let stats = Nine.Pool.kind_counts pool in
         check_bool "walk+open+read counted" true
           (List.mem_assoc "walk" stats && List.mem_assoc "open" stats
           && List.mem_assoc "read" stats));
