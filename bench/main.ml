@@ -45,23 +45,6 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* The caches report to the global observability registry as the
-   sections run; their hit-rates go into the ledger alongside the
-   timings. *)
-let cache_hit_rates () =
-  List.filter_map
-    (fun (label, hit, miss) ->
-      match (Trace.find_value hit, Trace.find_value miss) with
-      | Some h, Some m when h + m > 0 ->
-          Some (label, float_of_int h /. float_of_int (h + m))
-      | _ -> None)
-    [
-      ("help.layout", "help.layout.hit", "help.layout.miss");
-      ("cbr.unit", "cbr.unit.hit", "cbr.unit.miss");
-      ("regexp.compile", "regexp.compile.hit", "regexp.compile.miss");
-      ("metrics.conn", "metrics.conn.hit", "metrics.conn.miss");
-    ]
-
 let write_json path =
   let oc = open_out path in
   let table ?(fmt = format_of_string "%.3f") entries =
@@ -72,14 +55,12 @@ let write_json path =
              (Printf.sprintf fmt v))
          entries)
   in
-  let rates = cache_hit_rates () in
   Printf.fprintf oc
-    "{\n  \"schema\": \"help-bench-8\",\n  \"e7_ns_per_op\": {\n%s\n  },\n  \
+    "{\n  \"schema\": \"help-bench-9\",\n  \"e7_ns_per_op\": {\n%s\n  },\n  \
      \"e10_ms\": {\n%s\n  },\n  \"search\": {\n%s\n  },\n  \
      \"pool\": {\n%s\n  },\n  \"e13\": {\n%s\n  },\n  \
      \"index\": {\n%s\n  },\n  \"wal\": {\n%s\n  },\n  \
-     \"guide\": {\n%s\n  },\n  \
-     \"cache_hit_rates\": {\n%s\n  }\n}\n"
+     \"guide\": {\n%s\n  }\n}\n"
     (table (List.rev !j_e7))
     (table (List.rev !j_e10))
     (table (List.rev !j_e11))
@@ -87,15 +68,14 @@ let write_json path =
     (table (List.rev !j_e13))
     (table (List.rev !j_e14))
     (table (List.rev !j_e15))
-    (table ~fmt:(format_of_string "%.1f") (List.rev !j_e16))
-    (table ~fmt:(format_of_string "%.4f") rates);
+    (table ~fmt:(format_of_string "%.1f") (List.rev !j_e16));
   close_out oc;
   Printf.printf
     "\nwrote %s (%d e7 rows, %d e10 rows, %d search rows, %d pool rows, %d \
-     e13 rows, %d index rows, %d wal rows, %d guide rows, %d hit-rates)\n"
+     e13 rows, %d index rows, %d wal rows, %d guide rows)\n"
     path (List.length !j_e7) (List.length !j_e10) (List.length !j_e11)
     (List.length !j_e12) (List.length !j_e13) (List.length !j_e14)
-    (List.length !j_e15) (List.length !j_e16) (List.length rates)
+    (List.length !j_e15) (List.length !j_e16)
 
 (* ------------------------------------------------------------------ *)
 (* E1: the interaction ledger of the worked example                    *)

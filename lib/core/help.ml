@@ -43,12 +43,6 @@ type t = {
   mutable exec_hook : string -> unit;
   mutable event_hook : event -> unit;
       (* fires before each accepted event is processed — the WAL's tap *)
-  indexed : (int, string) Hashtbl.t;
-      (* window id -> trigram-index doc name, for the windows this
-         instance registered ({!index_buffer}); snapshot/restore needs
-         it because registration is not derivable from window state
-         (Open windows are searched through their shared file buffer,
-         not registered) *)
   mutable mx : int;
   mutable my : int;
   mutable held : button list;
@@ -133,7 +127,6 @@ let create ?(w = default_w) ?(h = default_h) ?(place = Hplace.Refined) ns sh =
     gesture_hook = ignore;
     exec_hook = ignore;
     event_hook = ignore;
-    indexed = Hashtbl.create 8;
     mx = 0;
     my = 0;
     held = [];
@@ -287,14 +280,6 @@ let attach t ?(col : Hcol.t option) win =
 
 let nth_column t i = List.nth_opt t.cols i
 
-(* Every open body buffer is a document of the namespace's trigram
-   index; edits only flag it dirty there (re-tokenized lazily on the
-   next indexed query, never on the keystroke). *)
-let index_buffer t ~name win =
-  let name = if name = "" then "win" ^ string_of_int (Hwin.id win) else name in
-  Hashtbl.replace t.indexed (Hwin.id win) name;
-  Index.add_buffer (Index.of_ns t.namespace) ~name (Htext.buffer (Hwin.body win))
-
 let new_window t ?(name = "") ?(body = "") () =
   let id = alloc_id t in
   let tag_text = if name = "" then "" else name ^ " Close! Get!" in
@@ -302,12 +287,9 @@ let new_window t ?(name = "") ?(body = "") () =
   Buffer0.clean (Htext.buffer (Hwin.body win));
   Hashtbl.replace t.wins id win;
   attach t win;
-  index_buffer t ~name win;
   win
 
 let close_window t win =
-  Index.remove_buffer (Index.of_ns t.namespace) (Htext.buffer (Hwin.body win));
-  Hashtbl.remove t.indexed (Hwin.id win);
   Hashtbl.remove t.wins (Hwin.id win);
   (match column_of t win with Some c -> Hcol.remove c win | None -> ());
   (match t.cursel with
@@ -324,7 +306,6 @@ let errors_window t =
       let win = Hwin.create ~id ~tag_text:"Errors Close!" (Buffer0.create "") in
       Hashtbl.replace t.wins id win;
       attach t win;
-      index_buffer t ~name:"Errors" win;
       win
 
 (* Program-written content is not an unsaved user edit: windows filled
@@ -1241,7 +1222,7 @@ let sorted_wins t =
 
 let snapshot t ~put =
   let b = Buffer.create 1024 in
-  Codec.w_int b 1 (* snapshot format version *);
+  Codec.w_int b 2 (* snapshot format version *);
   (* Distinct body buffers in a stable order (windows by id, then the
      shared-file table by path); sharing is by physical identity, so a
      file open in two windows restores as one buffer again. *)
@@ -1354,34 +1335,12 @@ let snapshot t ~put =
   | Some (D_window w) ->
       Codec.w_int b 3;
       Codec.w_int b (Hwin.id w));
-  let regs =
-    List.sort compare
-      (Hashtbl.fold (fun id name acc -> (id, name) :: acc) t.indexed [])
-  in
-  Codec.w_int b (List.length regs);
-  List.iter
-    (fun (id, name) ->
-      Codec.w_int b id;
-      Codec.w_str b name)
-    regs;
   Buffer.contents b
 
 let restore t ~get s =
   let d = Codec.reader s in
-  if Codec.r_int d <> 1 then
+  if Codec.r_int d <> 2 then
     invalid_arg "Help.restore: unknown snapshot version";
-  (* Unhook the current windows from the trigram index before dropping
-     them; registrations are rebuilt from the captured table below, in
-     the same (window-id) order the original session made them. *)
-  Hashtbl.iter
-    (fun id _name ->
-      match Hashtbl.find_opt t.wins id with
-      | Some w ->
-          Index.remove_buffer (Index.of_ns t.namespace)
-            (Htext.buffer (Hwin.body w))
-      | None -> ())
-    t.indexed;
-  Hashtbl.reset t.indexed;
   Hashtbl.reset t.wins;
   Hashtbl.reset t.buffers;
   let nbufs = Codec.r_int d in
@@ -1475,14 +1434,4 @@ let restore t ~get s =
       t.drag <- Some (D_exec (w, ht, Codec.r_int d))
   | 3 -> t.drag <- Some (D_window (win_of (Codec.r_int d)))
   | _ -> invalid_arg "Help.restore: bad drag tag");
-  let nregs = Codec.r_int d in
-  for _ = 1 to nregs do
-    let id = Codec.r_int d in
-    let name = Codec.r_str d in
-    Hashtbl.replace t.indexed id name;
-    Index.add_buffer
-      (Index.of_ns t.namespace)
-      ~name
-      (Htext.buffer (Hwin.body (win_of id)))
-  done;
   t.render <- None

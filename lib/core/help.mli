@@ -180,8 +180,7 @@ val report : t -> string -> unit
     a stable key for [chunk]. *)
 val snapshot : t -> put:(string -> string) -> string
 
-(** [restore t ~get s] replaces the UI state with [snapshot] output,
-    re-registering restored windows with the trigram index in their
-    original order and invalidating the render cache ([None] until the
-    next draw, which repaints in full). *)
+(** [restore t ~get s] replaces the UI state with [snapshot] output and
+    invalidates the render cache ([None] until the next draw, which
+    repaints in full). *)
 val restore : t -> get:(string -> string) -> string -> unit

@@ -15,9 +15,6 @@ type strategy =
 
 val strategy_name : strategy -> string
 
-(** The minimum useful window: a tag plus two body lines. *)
-val min_visible : int
-
 (** Choose the tag row for a new window in [col] on a screen of height
     [h]. *)
 val choose : strategy -> Hcol.t -> h:int -> int

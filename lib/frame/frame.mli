@@ -9,8 +9,6 @@
 
 type t
 
-val tab_width : int
-
 (** [layout text ~org ~w ~h].  [org] is clamped into the text; layout
     begins there (callers keep [org] at a line start for sane display). *)
 val layout : Rope.t -> org:int -> w:int -> h:int -> t

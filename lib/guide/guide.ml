@@ -353,11 +353,11 @@ let synopsis_string inv =
   in
   String.concat " " (("`" ^ span ^ "`") :: ital)
 
-let synopsis_command ?(defaults = default_args) inv =
+let synopsis_command inv =
   let lookup a =
-    match List.assoc_opt (inv.i_cmd ^ " " ^ a) defaults with
+    match List.assoc_opt (inv.i_cmd ^ " " ^ a) default_args with
     | Some v -> Some v
-    | None -> List.assoc_opt a defaults
+    | None -> List.assoc_opt a default_args
   in
   let rec go acc = function
     | [] -> Some (List.rev acc)
@@ -373,13 +373,13 @@ let synopsis_command ?(defaults = default_args) inv =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let render ?(defaults = default_args) p =
+let render p =
   let b = Buffer.create 1024 in
   Printf.bprintf b "%s(%d) - %s\n" p.p_name p.p_section p.p_title;
   Buffer.add_string b "\nRUN\n";
   List.iter
     (fun inv ->
-      match synopsis_command ~defaults inv with
+      match synopsis_command inv with
       | Some cmd -> Printf.bprintf b " %s\n" cmd
       | None -> Printf.bprintf b " # %s\n" (invocation_text inv))
     p.p_invocations;

@@ -7,10 +7,11 @@
     {!page} — NAME, the SYNOPSIS as {!invocation}s, the documented
     command verbs, file references and SEE ALSO links — and {!render}
     lays the model out as a window body whose RUN lines are concrete
-    command invocations composed from {!default_args}.  A middle sweep
-    runs a line directly; the [run] tag verb runs the selected line
-    into a fresh output window; SEE ALSO lines are [guide] commands of
-    their own, so the manual is browsed entirely by mouse.
+    command invocations with their placeholders filled from a built-in
+    table of example arguments.  A middle sweep runs a line directly;
+    the [run] tag verb runs the selected line into a fresh output
+    window; SEE ALSO lines are [guide] commands of their own, so the
+    manual is browsed entirely by mouse.
 
     The parsed model is also served in-band as [/mnt/help/guide] (the
     index) and [/mnt/help/guide/<page>] (one page's facts) by
@@ -21,7 +22,7 @@
 type syn_item =
   | S_flag of string  (** a literal flag: [-modified] *)
   | S_lit of string  (** a literal word or path: [headers], [/mnt/help/stats] *)
-  | S_arg of string  (** a placeholder to fill from {!default_args} *)
+  | S_arg of string  (** a placeholder, filled when composing *)
   | S_opt of string  (** an optional group, skipped when composing *)
 
 (** One SYNOPSIS entry: the command word and its tokens in order. *)
@@ -67,22 +68,15 @@ val invocation_text : invocation -> string
     placeholders after), used by the round-trip tests. *)
 val synopsis_string : invocation -> string
 
-(** The argument-filling table for {!synopsis_command}: keys are
-    ["cmd arg"] (looked up first) or bare ["arg"] names. *)
-val default_args : (string * string) list
-
 (** Compose a concrete, runnable command line: optional groups are
-    dropped and placeholders filled from [defaults]; [None] when a
-    placeholder has no default. *)
-val synopsis_command :
-  ?defaults:(string * string) list -> invocation -> string option
+    dropped and placeholders filled from the built-in argument table
+    (a ["cmd arg"] key is looked up before the bare ["arg"]); [None]
+    when a placeholder has no entry. *)
+val synopsis_command : invocation -> string option
 
 (** The window body of one page: RUN, COMMANDS, FILES and SEE ALSO
     sections, every RUN and SEE ALSO line a sweepable command. *)
-val render : ?defaults:(string * string) list -> page -> string
-
-(** The index window body: one [guide <name>] line per page. *)
-val index_body : unit -> string
+val render : page -> string
 
 (** The [/mnt/help/guide] file: [name TAB section TAB title] lines. *)
 val index_text : unit -> string

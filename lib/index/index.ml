@@ -1,4 +1,4 @@
-(* Trigram posting-list index over namespace files and open buffers.
+(* Trigram posting-list index over namespace files.
    Candidate selection runs before the Regexp DFA/NFA pipeline ever
    touches a document; pruning is sound because a document that lacks a
    required trigram of the pattern cannot contain a match. *)
@@ -127,27 +127,22 @@ let plan re =
 (* ------------------------------------------------------------------ *)
 (* Documents and postings                                              *)
 
-type src = S_file of string | S_buf of Buffer0.t
-
 let stamp_none = (-1, -1, -1)
 
 type doc = {
   d_id : int;
-  d_key : string;
-  d_src : src;
+  d_path : string;  (* canonical path *)
   mutable d_ok : bool;  (* tokenized and current at last validation *)
   mutable d_seen : bool;  (* tokenized at least once (reindex meter) *)
-  mutable d_dirty : bool;  (* damage flag set by Buffer0.on_edit *)
   mutable d_stamp : int * int * int;
   mutable d_tris : int array;  (* sorted distinct trigrams posted *)
 }
 
 type t = {
   ix_ns : Vfs.t;
-  ix_docs : (string, doc) Hashtbl.t;  (* canonical key -> doc *)
+  ix_docs : (string, doc) Hashtbl.t;  (* canonical path -> doc *)
   ix_alias : (string, doc) Hashtbl.t;  (* as-given path -> doc (hot lookup) *)
   ix_post : (int, int list ref) Hashtbl.t;  (* trigram -> sorted ids *)
-  mutable ix_bufs : doc list;  (* registration order *)
   mutable ix_next : int;
   mutable ix_nsgen : int;  (* Vfs.generation at last file sweep *)
   mutable ix_npost : int;
@@ -164,7 +159,6 @@ let create ns =
     ix_docs = Hashtbl.create 64;
     ix_alias = Hashtbl.create 64;
     ix_post = Hashtbl.create 1024;
-    ix_bufs = [];
     ix_next = 0;
     ix_nsgen = -1;
     ix_npost = 0;
@@ -274,7 +268,7 @@ let apply_tris t doc ntris =
   doc.d_tris <- ntris
 
 let tokenize_doc t doc content stamp =
-  Trace.with_span "index.build" ~args:[ ("doc", doc.d_key) ] (fun () ->
+  Trace.with_span "index.build" ~args:[ ("doc", doc.d_path) ] (fun () ->
       apply_tris t doc (tokenize content);
       doc.d_stamp <- stamp;
       doc.d_ok <- true;
@@ -289,64 +283,42 @@ let clear_doc t doc =
   doc.d_stamp <- stamp_none;
   doc.d_ok <- false
 
-let revalidate_file t doc path =
-  match Vfs.stat t.ix_ns path with
+let revalidate t doc =
+  match Vfs.stat t.ix_ns doc.d_path with
   | exception Vfs.Error _ -> clear_doc t doc
   | st when st.Vfs.st_dir -> clear_doc t doc
   | st -> (
       let stamp = (st.Vfs.st_version, st.st_length, st.st_mtime) in
       if (not doc.d_ok) || stamp <> doc.d_stamp then
-        match Vfs.read_file t.ix_ns path with
+        match Vfs.read_file t.ix_ns doc.d_path with
         | exception Vfs.Error _ -> clear_doc t doc
         | content -> tokenize_doc t doc content stamp)
 
-let revalidate_buffer _t doc b =
-  let gen = Buffer0.generation b in
-  let stamp = (gen, 0, 0) in
-  doc.d_dirty <- false;
-  if (not doc.d_ok) || stamp <> doc.d_stamp then
-    tokenize_doc _t doc (Buffer0.to_string b) stamp
-
-(* Lazy staleness: file documents are swept only when the namespace
-   mutation counter has moved since the last sweep (an unmoved counter
-   proves no file changed); buffer documents carry a damage flag set on
-   edit and compare Buffer0 generations.  Nothing is touched on the
-   keystroke itself. *)
+(* Lazy staleness: documents are swept only when the namespace mutation
+   counter has moved since the last sweep (an unmoved counter proves no
+   file changed).  Nothing is touched on the write itself. *)
 let validate t =
   let g = Vfs.generation t.ix_ns in
   if g <> t.ix_nsgen then begin
-    Hashtbl.iter
-      (fun _ doc ->
-        match doc.d_src with
-        | S_file path -> revalidate_file t doc path
-        | S_buf _ -> ())
-      t.ix_docs;
+    Hashtbl.iter (fun _ doc -> revalidate t doc) t.ix_docs;
     t.ix_nsgen <- Vfs.generation t.ix_ns
   end;
-  List.iter
-    (fun doc ->
-      match doc.d_src with
-      | S_buf b -> if doc.d_dirty || not doc.d_ok then revalidate_buffer t doc b
-      | S_file _ -> ())
-    t.ix_bufs;
   Trace.set_gauge g_docs (Hashtbl.length t.ix_docs);
   Trace.set_gauge g_postings t.ix_npost
 
-let new_doc t key src =
+let new_doc t path =
   let doc =
     {
       d_id = t.ix_next;
-      d_key = key;
-      d_src = src;
+      d_path = path;
       d_ok = false;
       d_seen = false;
-      d_dirty = false;
       d_stamp = stamp_none;
       d_tris = [||];
     }
   in
   t.ix_next <- t.ix_next + 1;
-  Hashtbl.replace t.ix_docs key doc;
+  Hashtbl.replace t.ix_docs path doc;
   doc
 
 (* Paths arrive already absolute from every caller, so the hot path is
@@ -364,49 +336,19 @@ let ensure_path t path =
         match Hashtbl.find_opt t.ix_docs key with
         | Some doc -> doc
         | None ->
-            let doc = new_doc t key (S_file key) in
-            revalidate_file t doc key;
+            let doc = new_doc t key in
+            revalidate t doc;
             doc
       in
       Hashtbl.replace t.ix_alias path doc;
       if path <> key then Hashtbl.replace t.ix_alias key doc
-
-let buf_key name = "buf:" ^ name
-
-let add_buffer t ~name b =
-  if not (List.exists (fun d -> match d.d_src with S_buf b' -> b' == b | _ -> false) t.ix_bufs)
-  then begin
-    let rec fresh key n =
-      if Hashtbl.mem t.ix_docs key then fresh (Printf.sprintf "%s#%d" key n) (n + 1)
-      else key
-    in
-    let key = fresh (buf_key name) 2 in
-    let doc = new_doc t key (S_buf b) in
-    t.ix_bufs <- t.ix_bufs @ [ doc ];
-    Buffer0.on_edit b (fun _ -> doc.d_dirty <- true)
-  end
-
-let remove_buffer t b =
-  let gone, kept =
-    List.partition
-      (fun d -> match d.d_src with S_buf b' -> b' == b | _ -> false)
-      t.ix_bufs
-  in
-  t.ix_bufs <- kept;
-  List.iter
-    (fun doc ->
-      apply_tris t doc [||];
-      Hashtbl.remove t.ix_docs doc.d_key;
-      Hashtbl.remove t.ix_alias doc.d_key)
-    gone
 
 let rebuild t =
   Hashtbl.iter
     (fun _ doc ->
       doc.d_tris <- [||];
       doc.d_stamp <- stamp_none;
-      doc.d_ok <- false;
-      doc.d_dirty <- true)
+      doc.d_ok <- false)
     t.ix_docs;
   Hashtbl.reset t.ix_post;
   t.ix_npost <- 0;
@@ -469,12 +411,6 @@ let rec eval t = function
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
-let account t ~kept ~total =
-  t.ix_candidates <- t.ix_candidates + kept;
-  t.ix_skipped <- t.ix_skipped + (total - kept);
-  Trace.incr ~by:kept c_candidates;
-  Trace.incr ~by:(total - kept) c_skipped
-
 let prune t q paths =
   Trace.with_span "index.query" (fun () ->
       t.ix_queries <- t.ix_queries + 1;
@@ -496,7 +432,12 @@ let prune t q paths =
                 | _ -> true (* unindexable: let the scan report it *))
               paths
           in
-          account t ~kept:(List.length keep) ~total:(List.length paths);
+          let kept = List.length keep in
+          let skipped = List.length paths - kept in
+          t.ix_candidates <- t.ix_candidates + kept;
+          t.ix_skipped <- t.ix_skipped + skipped;
+          Trace.incr ~by:kept c_candidates;
+          Trace.incr ~by:skipped c_skipped;
           Trace.set_gauge g_docs (Hashtbl.length t.ix_docs);
           Trace.set_gauge g_postings t.ix_npost;
           keep)
@@ -533,33 +474,6 @@ let grep t re files =
   scan_files t.ix_ns re keep
 
 let grep_linear t re files = scan_files t.ix_ns re files
-
-let scan_buffers re docs =
-  List.rev
-    (List.fold_left
-       (fun acc doc ->
-         match doc.d_src with
-         | S_buf b -> scan_content re doc.d_key (Buffer0.to_string b) acc
-         | S_file _ -> acc)
-       [] docs)
-
-let grep_buffers t re =
-  Trace.with_span "index.query" (fun () ->
-      t.ix_queries <- t.ix_queries + 1;
-      validate t;
-      match eval t (plan re) with
-      | C_all ->
-          t.ix_fallbacks <- t.ix_fallbacks + 1;
-          Trace.incr c_fallbacks;
-          scan_buffers re t.ix_bufs
-      | C_ids ids ->
-          let mem = Hashtbl.create (List.length ids) in
-          List.iter (fun id -> Hashtbl.replace mem id ()) ids;
-          let keep = List.filter (fun d -> Hashtbl.mem mem d.d_id) t.ix_bufs in
-          account t ~kept:(List.length keep) ~total:(List.length t.ix_bufs);
-          scan_buffers re keep)
-
-let grep_buffers_linear t re = scan_buffers re t.ix_bufs
 
 let hits_text hits =
   String.concat ""

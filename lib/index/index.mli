@@ -2,20 +2,18 @@
     the {!Regexp} lazy-DFA pipeline.
 
     The codesearch architecture: every indexed document (a file in the
-    namespace, or an open {!Buffer0} buffer) posts the set of 3-byte
-    substrings it contains; a query planner turns a compiled pattern
-    into an AND/OR tree over trigrams every match must contain; posting
-    lists are intersected to select candidate documents; and only the
-    candidates are handed to the usual {!Hsearch}/{!Regexp} scan.  A
-    document that lacks a required trigram cannot match, so pruning is
-    sound — indexed results are byte-identical to the linear scan.
+    namespace) posts the set of 3-byte substrings it contains; a query
+    planner turns a compiled pattern into an AND/OR tree over trigrams
+    every match must contain; posting lists are intersected to select
+    candidate files; and only the candidates are handed to the usual
+    {!Regexp} scan.  A file that lacks a required trigram cannot match,
+    so pruning is sound — indexed results are byte-identical to the
+    linear scan.
 
-    Staleness is tracked with the same generation counters the
-    incremental pipeline uses: file documents carry the {!Vfs} stat
-    fingerprint (version/length/mtime) and are revalidated only when
-    the namespace mutation counter has moved; buffer documents are
-    damage-flagged by {!Buffer0.on_edit} and re-tokenized lazily on the
-    next query, never on a keystroke.
+    Staleness is tracked with the namespace's generation counter: each
+    document carries the {!Vfs} stat fingerprint (version/length/mtime)
+    and is revalidated only when the namespace mutation counter has
+    moved, lazily on the next query, never on the write itself.
 
     Counters: [index.docs], [index.postings], [index.query.candidates],
     [index.query.skipped_docs], [index.query.fallbacks],
@@ -60,13 +58,6 @@ val create : Vfs.t -> t
     index through this. *)
 val of_ns : Vfs.t -> t
 
-(** Register an open buffer.  Edits mark the document dirty through
-    {!Buffer0.on_edit}; re-tokenization happens on the next query. *)
-val add_buffer : t -> name:string -> Buffer0.t -> unit
-
-(** Deregister (window closed).  Postings are withdrawn. *)
-val remove_buffer : t -> Buffer0.t -> unit
-
 (** Drop every posting and fingerprint; documents re-tokenize on the
     next query.  The [/mnt/help/index/rebuild] control file. *)
 val rebuild : t -> unit
@@ -81,7 +72,7 @@ val prune : t -> query -> string list -> string list
 
 (** One matching line of one document. *)
 type hit = {
-  h_doc : string;  (** file path, or the buffer's registered name *)
+  h_doc : string;  (** the file's canonical path *)
   h_line : int;  (** 1-based *)
   h_spans : (int * int) list;  (** match spans within the line *)
   h_text : string;  (** the line itself *)
@@ -94,12 +85,6 @@ val grep : t -> Regexp.t -> string list -> hit list
 
 (** The reference: scan every file, no pruning (and no index updates). *)
 val grep_linear : t -> Regexp.t -> string list -> hit list
-
-(** Same pair over the registered buffers (documents named by
-    {!add_buffer}). *)
-val grep_buffers : t -> Regexp.t -> hit list
-
-val grep_buffers_linear : t -> Regexp.t -> hit list
 
 (** Render hits one per line, [doc:line:spans:text] — the byte-for-byte
     comparison format used by the gates and E14. *)

@@ -109,63 +109,12 @@ let actionable sh ~dir tok =
   || List.mem tok builtins
   || (String.length tok > 1 && Rc.resolve sh ~cwd:dir tok <> None)
 
-(* Per-window memo of the (token, actionable?) list.  [Rc.resolve] per
-   token is the expensive part; an unchanged window re-contributes its
-   scored tokens for free.  Validity: the tag and body view generations
-   (text, selection, origin), the visible body span (catches column
-   resizes, which change the span without touching the views), the
-   namespace mutation generation (resolution reads the namespace), and
-   the shell environment generation (resolution reads [$path],
-   functions and natives — see {!Rc.env_generation}) — the whole cache
-   is flushed when either generation moves. *)
-(* The memo ledger lives in the global observability registry; each
-   cache snapshots it at creation and reports deltas. *)
-let m_hit = Trace.counter "metrics.conn.hit"
-let m_miss = Trace.counter "metrics.conn.miss"
-
-type conn_entry = {
-  ce_tag : int;
-  ce_body : int;
-  ce_span : int * int;
-  ce_dir : string;
-  ce_toks : (string * bool) list;  (* (token, actionable) *)
-}
-
-type conn_cache = {
-  mutable cc_gen : int;  (* namespace generation the entries assume *)
-  mutable cc_env : int;  (* shell environment generation ditto *)
-  cc_wins : (int, conn_entry) Hashtbl.t;
-  cc_base : int * int;  (* registry (hit, miss) at creation *)
-}
-
-let create_conn_cache () =
-  { cc_gen = -1; cc_env = -1; cc_wins = Hashtbl.create 32;
-    cc_base = (Trace.value m_hit, Trace.value m_miss) }
-
-let conn_cache_stats c =
-  let bh, bm = c.cc_base in
-  (Trace.value m_hit - bh, Trace.value m_miss - bm)
-
-let body_span win =
-  match Htext.last_frame (Hwin.body win) with
-  | Some f -> (Frame.org f, Frame.last f)
-  | None -> (0, 0)
-
-let connectivity ?cache help =
+(* Each distinct (directory, token) pair is resolved once per call;
+   nothing a resolution reads changes during the call. *)
+let connectivity help =
   (* Drawing refreshes every frame so "visible" is current. *)
   let _ = Help.draw help in
   let sh = Help.shell help in
-  (match cache with
-  | Some c
-    when c.cc_gen <> Vfs.generation (Help.ns help)
-         || c.cc_env <> Rc.env_generation sh ->
-      (* token actionability consults both the namespace and the
-         shell's resolution state ($path, functions, natives); either
-         generation moving flushes the whole memo *)
-      Hashtbl.reset c.cc_wins;
-      c.cc_gen <- Vfs.generation (Help.ns help);
-      c.cc_env <- Rc.env_generation sh
-  | _ -> ());
   let seen = Hashtbl.create 64 in
   let count = ref 0 in
   List.iter
@@ -174,45 +123,14 @@ let connectivity ?cache help =
         (fun g ->
           let win = g.Hcol.g_win in
           let dir = Hwin.dir win in
-          let score () =
-            List.map
-              (fun tok -> (tok, actionable sh ~dir tok))
-              (tokens_of (visible_text win))
-          in
-          let toks =
-            match cache with
-            | None -> score ()
-            | Some c -> (
-                let tag_gen = Htext.view_gen (Hwin.tag win) in
-                let body_gen = Htext.view_gen (Hwin.body win) in
-                let span = body_span win in
-                match Hashtbl.find_opt c.cc_wins (Hwin.id win) with
-                | Some e
-                  when e.ce_tag = tag_gen && e.ce_body = body_gen
-                       && e.ce_span = span && e.ce_dir = dir ->
-                    Trace.incr m_hit;
-                    e.ce_toks
-                | _ ->
-                    Trace.incr m_miss;
-                    let toks = score () in
-                    Hashtbl.replace c.cc_wins (Hwin.id win)
-                      {
-                        ce_tag = tag_gen;
-                        ce_body = body_gen;
-                        ce_span = span;
-                        ce_dir = dir;
-                        ce_toks = toks;
-                      };
-                    toks)
-          in
           List.iter
-            (fun (tok, act) ->
+            (fun tok ->
               let key = (dir, tok) in
               if not (Hashtbl.mem seen key) then begin
                 Hashtbl.add seen key ();
-                if act then incr count
+                if actionable sh ~dir tok then incr count
               end)
-            toks)
+            (tokens_of (visible_text win)))
         (Hcol.geoms col ~h:(Help.height help)))
     (Help.columns help);
   !count

@@ -41,27 +41,10 @@ val add : counts -> counts -> counts
     is created ... it is filled with text that points to new and old
     text, and a kind of exponential connectivity results." *)
 
-(** Memo of per-window token scans for {!connectivity}.  Entries are
-    keyed on window id and validated against the tag/body view
-    generations and visible span; the whole cache is flushed when the
-    namespace mutation generation or the shell environment generation
-    moves (token actionability consults the namespace and the shell's
-    resolution state, [$path] included). *)
-type conn_cache
-
-val create_conn_cache : unit -> conn_cache
-
-(** [(hits, misses)] — window scans served from cache vs. recomputed
-    since this cache was created (read from the global [Trace]
-    registry's [metrics.conn.*] counters). *)
-val conn_cache_stats : conn_cache -> int * int
-
 (** Distinct actionable tokens visible on screen: paths, file:line
     addresses, built-in command words, and words that resolve to
-    executables in the window's context.  [?cache] makes repeated calls
-    over a mostly-unchanged screen cheap; the result is identical with
-    or without it. *)
-val connectivity : ?cache:conn_cache -> Help.t -> int
+    executables in the window's context. *)
+val connectivity : Help.t -> int
 
 (** Number of visible windows. *)
 val visible_windows : Help.t -> int

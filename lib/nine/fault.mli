@@ -37,10 +37,6 @@ type config = {
     120ms simulated waits. *)
 val default : config
 
-(** Short name of a fault ("drop", "delay", ...), as used in the
-    [nine.fault.<name>] counter. *)
-val fault_name : fault -> string
-
 (** [wrap config transport] interposes the fault schedule on
     [transport]'s replies.  Pass as [Nine.serve_mount ?wrap].  With
     [rate <= 0.] the wrapper is the identity — a disabled schedule

@@ -729,9 +729,7 @@ module Client = struct
     mutable next_tag : int;
     mutable next_fid : int;
     mutable msize : int;  (* negotiated at version; bounds every frame *)
-    timeout_us : int;
     max_retries : int;
-    backoff_us : int;
     mutable read_buf : Buffer.t option;  (* reusable read-assembly scratch *)
   }
 
@@ -762,6 +760,11 @@ module Client = struct
   let failed_rpcs = Trace.counter "nine.rpc.failed"
   let timeouts = Trace.counter "nine.rpc.timeout"
   let flush_sent = Trace.counter "nine.flush.sent"
+
+  (* Logical microseconds: a reply later than [timeout_us] counts as
+     lost, and the n-th retry waits [backoff_us lsl n]. *)
+  let timeout_us = 50_000
+  let backoff_us = 1_000
 
   (* Tags cycle through 0..0xfffe; 0xffff is NOTAG, reserved by 9P. *)
   let fresh_tag c =
@@ -800,7 +803,7 @@ module Client = struct
             (* a reply slower than the timeout was already given up on;
                only idempotent requests are timed, so a slow mutation is
                never abandoned half-acknowledged *)
-            if retryable msg && Trace.now_us () - t0 > c.timeout_us then begin
+            if retryable msg && Trace.now_us () - t0 > timeout_us then begin
               Trace.incr timeouts;
               `Failed ("reply after timeout", true)
             end
@@ -824,7 +827,7 @@ module Client = struct
             | Some ctr -> Trace.incr ctr
             | None -> ());
             (* deterministic exponential backoff on the trace clock *)
-            Trace.advance (c.backoff_us lsl n);
+            Trace.advance (backoff_us lsl n);
             attempt (n + 1)
           end
           else begin
@@ -842,12 +845,10 @@ module Client = struct
 
   let root_fid = 0
 
-  let connect ?(timeout_us = 50_000) ?(max_retries = 3) ?(backoff_us = 1_000)
-      ?(uname = "help") transport =
+  let connect ?(max_retries = 3) ?(uname = "help") transport =
     let c =
       { transport; uname; next_tag = 1; next_fid = 1; msize = 65536;
-        timeout_us; max_retries; backoff_us;
-        read_buf = Some (Buffer.create 8192) }
+        max_retries; read_buf = Some (Buffer.create 8192) }
     in
     (match rpc c (Tversion { msize = c.msize; version = "9P2000.help" }) with
     | Rversion { msize; _ } ->

@@ -248,11 +248,11 @@ module Client : sig
 
       Requests whose replies are lost, late, corrupt, or tagged wrong
       are retried when idempotent (version/attach/walk/stat/read/clunk)
-      up to [max_retries] times with exponential backoff ([backoff_us]
-      doubling per attempt) on the deterministic trace clock; each
-      retry increments [nine.retry.<kind>].  A reply arriving more than
-      [timeout_us] logical microseconds after such a request was sent
-      counts as lost ([nine.rpc.timeout]).  A timed-out tag is not
+      up to [max_retries] times with exponential backoff (1 ms of
+      logical time, doubling per attempt) on the deterministic trace
+      clock; each retry increments [nine.retry.<kind>].  A reply
+      arriving more than 50 ms of logical time after such a request was
+      sent counts as lost ([nine.rpc.timeout]).  A timed-out tag is not
       abandoned: a best-effort [Tflush oldtag] ([nine.flush.sent]) asks
       the server to cancel the exchange before the retry re-issues
       under a fresh tag.  Exhausted retries — and any failure of a
@@ -263,13 +263,7 @@ module Client : sig
       servers record it per connection for stats.
 
       @raise Bad_message if version/attach negotiation itself fails. *)
-  val connect :
-    ?timeout_us:int ->
-    ?max_retries:int ->
-    ?backoff_us:int ->
-    ?uname:string ->
-    (string -> string) ->
-    t
+  val connect : ?max_retries:int -> ?uname:string -> (string -> string) -> t
 
   (** View the remote tree as a local {!Vfs.filesystem}: each operation
       becomes walk/open/read/write/clunk round-trips.  Reads and writes

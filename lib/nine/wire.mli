@@ -4,8 +4,8 @@
     semantics live in {!Nine.Pool}.  Two disciplines keep the hot
     path cheap at thousands of connections:
 
-    - {b Zero-copy decode.}  A {!cursor} is an (offset, limit) slice
-      view into a shared read buffer, so a batch of coalesced frames is
+    - {b Zero-copy decode.}  Decoding reads through an (offset, limit)
+      slice view into a shared read buffer, so a batch of coalesced frames is
       decoded in place without cutting per-frame strings.  Only fields
       the decoded message retains ([uname], walk names, payloads) are
       materialized.
@@ -108,12 +108,6 @@ val encode_stat : stat9 -> string
 (** One directory entry as it appears in a directory read. *)
 
 (** {1 Decode} *)
-
-type cursor = { c_buf : string; mutable c_at : int; c_end : int }
-(** A slice view into [c_buf]: reads advance [c_at] toward [c_end].
-    No bytes are copied until a string field is materialized. *)
-
-val cursor : ?off:int -> ?len:int -> string -> cursor
 
 val decode_t : string -> int * tmsg
 (** [decode_t packet] is [(tag, msg)].

@@ -14,7 +14,6 @@ let run ?w ?(h = 48) ?(keep_screens = true) ?remote ?fault () =
   let ns = t.Session.ns in
   let src = Corpus.src_dir in
   let steps = ref [] in
-  let conn_cache = Metrics.create_conn_cache () in
   let snap label =
     let counts = Metrics.mark t.Session.metrics label in
     let dump = if keep_screens then Session.dump t else "" in
@@ -23,7 +22,7 @@ let run ?w ?(h = 48) ?(keep_screens = true) ?remote ?fault () =
         s_label = label;
         s_dump = dump;
         s_counts = counts;
-        s_connectivity = Metrics.connectivity ~cache:conn_cache t.Session.help;
+        s_connectivity = Metrics.connectivity t.Session.help;
       }
       :: !steps
   in

@@ -7,11 +7,6 @@ type t = {
   globals : (string, string list) Hashtbl.t;
   funcs : (string, cmd) Hashtbl.t;
   natives : (string, native) Hashtbl.t;
-  mutable env_gen : int;
-      (* bumped by every mutation of shell state that can change what a
-         command name resolves to or expands to: global variables
-         (notably $path), function definitions, native registrations.
-         Caches over resolution (the connectivity memo) key on it. *)
 }
 
 and proc = {
@@ -45,25 +40,19 @@ let create namespace =
     globals = Hashtbl.create 64;
     funcs = Hashtbl.create 16;
     natives = Hashtbl.create 64;
-    env_gen = 0;
   }
 
 let ns sh = sh.namespace
-let env_generation sh = sh.env_gen
-let env_mutated sh = sh.env_gen <- sh.env_gen + 1
 
 let register sh path f =
   let path = Vfs.normalize path in
-  env_mutated sh;
   Hashtbl.replace sh.natives path f;
   if not (Vfs.exists sh.namespace path) then begin
     Vfs.mkdir_p sh.namespace (Vfs.dirname path);
     Vfs.write_file sh.namespace path "#native\n"
   end
 
-let set_global sh name v =
-  env_mutated sh;
-  Hashtbl.replace sh.globals name v
+let set_global sh name v = Hashtbl.replace sh.globals name v
 let get_global sh name = Hashtbl.find_opt sh.globals name
 
 let globals_list sh =
@@ -71,8 +60,7 @@ let globals_list sh =
 
 let replace_globals sh gs =
   Hashtbl.reset sh.globals;
-  List.iter (fun (k, v) -> Hashtbl.replace sh.globals k v) gs;
-  env_mutated sh
+  List.iter (fun (k, v) -> Hashtbl.replace sh.globals k v) gs
 
 type result = { r_out : string; r_err : string; r_status : int }
 
@@ -91,9 +79,7 @@ let lookup proc name =
 
 let assign proc name v =
   let rec in_frames = function
-    | [] ->
-        env_mutated proc.sh;
-        Hashtbl.replace proc.sh.globals name v
+    | [] -> Hashtbl.replace proc.sh.globals name v
     | f :: rest ->
         if Hashtbl.mem f name then Hashtbl.replace f name v else in_frames rest
   in
@@ -527,14 +513,6 @@ let run_in proc ?stdin src =
         1
   in
   (Buffer.contents out, status)
-
-let define_fn sh name body_src =
-  match Rc_parser.parse body_src with
-  | cmd ->
-      env_mutated sh;
-      Hashtbl.replace sh.funcs name cmd
-  | exception Rc_parser.Parse_error msg | exception Rc_lexer.Lex_error msg ->
-      invalid_arg (Printf.sprintf "define_fn %s: %s" name msg)
 
 let resolve sh ~cwd name =
   if Hashtbl.mem sh.funcs name then Some name

@@ -41,19 +41,8 @@ val get_global : t -> string -> string list option
     snapshot (functions and natives are recreated by boot). *)
 val globals_list : t -> (string * string list) list
 
-(** Replace the whole global table (snapshot restore).  Bumps the
-    environment generation once. *)
+(** Replace the whole global table (snapshot restore). *)
 val replace_globals : t -> (string * string list) list -> unit
-
-(** Monotonic shell-environment generation: bumped by every global
-    variable assignment (including [$path]), function definition and
-    native registration — everything that can change what a command
-    name resolves to.  Caches over {!resolve} (e.g. the connectivity
-    memo) key on it. *)
-val env_generation : t -> int
-
-(** Define a shell function from source text ([fn name { body }]). *)
-val define_fn : t -> string -> string -> unit
 
 type result = { r_out : string; r_err : string; r_status : int }
 

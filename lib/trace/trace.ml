@@ -1,28 +1,18 @@
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
 
-(* The default clock is logical: each reading advances it one
-   microsecond, so a scripted session produces the same timestamps on
-   every run.  Benchmarks swap in a wall clock with [set_clock]. *)
+(* The clock is logical: each reading advances it one microsecond, so
+   a scripted session produces the same timestamps on every run. *)
 
 let logical = ref 0
-
-let logical_clock () =
-  incr logical;
-  !logical
-
-let clock = ref logical_clock
-let set_clock f = clock := f
-let use_logical_clock () = clock := logical_clock
 
 (* Every clock reading feeds the rolling-window machinery below; the
    hook is installed once the window state exists (end of this file). *)
 let tick_hook : (int -> unit) ref = ref (fun _ -> ())
-let last_tick = ref 0
 
 let now_us () =
-  let t = !clock () in
-  last_tick := t;
+  incr logical;
+  let t = !logical in
   !tick_hook t;
   t
 
@@ -33,16 +23,11 @@ let now_us () =
 let logical_now () = !logical
 
 (* Model waiting (a client timeout, retry backoff, injected latency) by
-   jumping the logical clock forward.  An injected wall clock keeps its
-   own time, so this is a no-op under [set_clock]; the window check only
-   runs when the jump actually moved the active timebase. *)
+   jumping the logical clock forward. *)
 let advance n =
   if n > 0 then begin
     logical := !logical + n;
-    if !clock == logical_clock then begin
-      last_tick := !logical;
-      !tick_hook !logical
-    end
+    !tick_hook !logical
   end
 
 (* ------------------------------------------------------------------ *)
@@ -391,12 +376,12 @@ let request_text reqid =
 (* ------------------------------------------------------------------ *)
 (* Rolling windows                                                     *)
 
-(* Time is divided into fixed-width epochs on whatever clock is active;
-   crossing an epoch boundary snapshots the whole registry (plus the GC
-   counters).  A bounded ring of snapshots — one per recently closed
-   slot — turns any counter into a per-window rate and any histogram
-   into per-window quantiles, by differencing consecutive snapshots.
-   Nothing is recorded twice: windows are pure views over the registry.
+(* Time is divided into fixed-width epochs of the logical clock;
+   crossing an epoch boundary snapshots the whole registry.  A bounded
+   ring of snapshots — one per recently closed slot — turns any counter
+   into a per-window rate and any histogram into per-window quantiles,
+   by differencing consecutive snapshots.  Nothing is recorded twice:
+   windows are pure views over the registry.
 
    A snapshot's [sn_at] is the epoch whose *start* it represents, so
    the delta between snapshots at [a] and [b] is the activity in slots
@@ -413,8 +398,6 @@ type snap = {
   sn_at : int;
   sn_scalars : (string * int) list;  (* sorted by name *)
   sn_hists : (string * hsnap) list;  (* sorted by name *)
-  sn_minor : float;
-  sn_majors : int;
 }
 
 let w_width = ref default_window_width
@@ -437,12 +420,9 @@ let take_snap at =
                 hs_b = Array.copy h.h_b } )
             :: !hists)
     registry;
-  let st = Gc.quick_stat () in
   { sn_at = at;
     sn_scalars = List.sort compare !scalars;
-    sn_hists = List.sort (fun (a, _) (b, _) -> compare a b) !hists;
-    sn_minor = st.Gc.minor_words;
-    sn_majors = st.Gc.major_collections }
+    sn_hists = List.sort (fun (a, _) (b, _) -> compare a b) !hists }
 
 let window_check t =
   let e = t / !w_width in
@@ -456,7 +436,7 @@ let window_check t =
 let window_configure ?width ?slots () =
   (match width with Some w -> w_width := max 1 w | None -> ());
   (match slots with Some s -> w_slots := max 1 s | None -> ());
-  let e = !last_tick / !w_width in
+  let e = !logical / !w_width in
   w_epoch := e;
   w_snaps := [ take_snap e ]
 
@@ -772,7 +752,6 @@ let reset () =
   ring_dropped := 0;
   depth := 0;
   logical := 0;
-  last_tick := 0;
   next_req := 0;
   cur_req := 0;
   sample_seed := 0;
@@ -791,13 +770,9 @@ let reset () =
    sampling, window geometry and epoch, every instrument's value, the
    alert table, and the retained window snapshots.  The span ring is
    deliberately NOT captured — spans are debug traffic, and recovery
-   restarts with an empty ring (depth 0, nothing buffered).
+   restarts with an empty ring (depth 0, nothing buffered). *)
 
-   [sn_minor] is a float (GC minor words); it round-trips through
-   [string_of_float]/[float_of_string], which is exact for the values
-   [Gc.quick_stat] produces. *)
-
-let state_version = 1
+let state_version = 2
 
 let w_hist_payload b (count, sum, mn, mx) (bkts : int array) =
   Codec.w_int b count;
@@ -838,9 +813,7 @@ let w_snap b sn =
     (fun b (name, hs) ->
       Codec.w_str b name;
       w_hist_payload b (hs.hs_count, hs.hs_sum, 0, 0) hs.hs_b)
-    sn.sn_hists;
-  Codec.w_str b (string_of_float sn.sn_minor);
-  Codec.w_int b sn.sn_majors
+    sn.sn_hists
 
 let r_snap d =
   let at = Codec.r_int d in
@@ -856,16 +829,12 @@ let r_snap d =
         let (count, sum, _, _), bkts = r_hist_payload d in
         (name, { hs_count = count; hs_sum = sum; hs_b = bkts }))
   in
-  let minor = float_of_string (Codec.r_str d) in
-  let majors = Codec.r_int d in
-  { sn_at = at; sn_scalars = scalars; sn_hists = hists;
-    sn_minor = minor; sn_majors = majors }
+  { sn_at = at; sn_scalars = scalars; sn_hists = hists }
 
 let save_state () =
   let b = Buffer.create 4096 in
   Codec.w_int b state_version;
   Codec.w_int b !logical;
-  Codec.w_int b !last_tick;
   Codec.w_int b !next_req;
   Codec.w_int b !cur_req;
   Codec.w_int b !sample_seed;
@@ -901,7 +870,6 @@ let restore_state s =
   if v <> state_version then
     invalid_arg (Printf.sprintf "Trace.restore_state: version %d" v);
   let logical' = Codec.r_int d in
-  let last_tick' = Codec.r_int d in
   let next_req' = Codec.r_int d in
   let cur_req' = Codec.r_int d in
   let seed' = Codec.r_int d in
@@ -955,7 +923,6 @@ let restore_state s =
   ring_dropped := 0;
   depth := 0;
   logical := logical';
-  last_tick := last_tick';
   next_req := next_req';
   cur_req := cur_req';
   sample_seed := seed';

@@ -12,18 +12,11 @@
 
     Everything is process-global: instruments are registered by name
     (find-or-create), and components that need per-instance views keep
-    a base snapshot and report deltas.  The default clock is logical —
-    it advances by one microsecond per reading — so traces of a
-    scripted session are deterministic; benchmarks inject a wall clock
-    with {!set_clock}. *)
+    a base snapshot and report deltas.  The clock is logical — it
+    advances by one microsecond per reading — so traces of a scripted
+    session are deterministic. *)
 
 (** {1 Clock} *)
-
-(** Replace the clock with [f], a monotonic microsecond counter. *)
-val set_clock : (unit -> int) -> unit
-
-(** Restore the default deterministic logical clock (1 us per reading). *)
-val use_logical_clock : unit -> unit
 
 (** Read the clock (advances the logical clock by one tick).  Every
     reading also drives the rolling-window machinery: crossing a window
@@ -38,9 +31,8 @@ val logical_now : unit -> int
 
 (** Jump the logical clock forward [n] microseconds without a reading —
     how deterministic components model waiting (client RPC timeouts and
-    retry backoff, injected transport latency).  No effect on a clock
-    installed with {!set_clock}.  A jump larger than the whole rolling
-    window expires every open slot. *)
+    retry backoff, injected transport latency).  A jump larger than the
+    whole rolling window expires every open slot. *)
 val advance : int -> unit
 
 (** {1 Counters} *)
@@ -204,8 +196,7 @@ val spans_text : ?dropped:int -> span list -> string
 
 (** {1 Rolling windows}
 
-    Time — whatever clock is active — is divided into fixed-width
-    epochs; the first reading past a boundary snapshots the whole
+    Logical time is divided into fixed-width epochs; the first reading past a boundary snapshots the whole
     registry, and a bounded ring of recent snapshots turns any counter
     into a per-slot rate and any histogram into per-slot quantiles by
     differencing consecutive snapshots.  Windows are pure views over
@@ -265,11 +256,8 @@ val alert_rules : unit -> string list
     [/mnt/help/alerts]. *)
 val alerts_text : unit -> string
 
-(** The rule lines [Session.boot] installs: p99 RPC latency,
-    backpressure stalls, journal drops, span drops. *)
-val default_alerts : string list
-
-(** Install {!default_alerts}. *)
+(** Install the rules [Session.boot] starts with: p99 RPC latency,
+    backpressure stalls, journal drops, span drops and index thrash. *)
 val install_default_alerts : unit -> unit
 
 (** {1 Reset}

@@ -1,8 +1,8 @@
 (* The incremental pipeline must be invisible: damage-tracked drawing,
-   the per-unit analysis cache, the regexp LRU and the connectivity
-   memo all have to produce exactly what the from-scratch computation
-   produces.  These tests drive each cache through randomized histories
-   and compare against the uncached path. *)
+   the per-unit analysis cache and the regexp LRU all have to produce
+   exactly what the from-scratch computation produces.  These tests
+   drive each cache through randomized histories and compare against
+   the uncached path. *)
 
 let mk_help () =
   let ns = Vfs.create () in
@@ -114,27 +114,6 @@ let dfa_flush_determinism () =
   let _, flushes, _ = r1 in
   check_bool "the tiny cache really flushed" true (flushes > 0)
 
-let connectivity_memo () =
-  let help = mk_help () in
-  let cache = Metrics.create_conn_cache () in
-  let eq label =
-    check_int label (Metrics.connectivity help) (Metrics.connectivity ~cache help)
-  in
-  eq "cold memo equals uncached";
-  eq "warm memo equals uncached";
-  (match Help.windows help with
-  | w :: _ -> Help.append_body help w "\nmkfile /lib/news stray-token"
-  | [] -> ());
-  eq "after a body edit the memo still agrees";
-  ignore (Help.open_file help ~dir:"/" "/lib/news");
-  eq "after a namespace change the memo still agrees";
-  (* mutating $path directly changes what resolves — the env generation
-     must flush the memo even though the namespace did not move *)
-  Rc.set_global (Help.shell help) "path" [];
-  eq "after a direct $path change the memo still agrees";
-  let hits, misses = Metrics.conn_cache_stats cache in
-  check_bool "the memo did real work" true (hits > 0 && misses > 0)
-
 let unit_tests =
   [
     Alcotest.test_case "quiet draws are all-clean" `Quick draw_cache_effective;
@@ -145,7 +124,6 @@ let unit_tests =
     Alcotest.test_case "regexp compile LRU" `Quick regexp_lru;
     Alcotest.test_case "dfa cache flush is deterministic under reset" `Quick
       dfa_flush_determinism;
-    Alcotest.test_case "connectivity memo" `Quick connectivity_memo;
   ]
 
 (* ------------------------------------------------------------------ *)

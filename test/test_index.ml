@@ -104,67 +104,69 @@ let rebuild_control () =
     && (let _, _, p = Index.sizes ix in p = posts))
 
 (* ------------------------------------------------------------------ *)
-(* Buffers: the qcheck edit-script property                            *)
+(* Files: the qcheck edit-script property                              *)
 
 let patterns =
   [ "abc"; "abcd"; "bc ab"; "cab|bac"; "a[ab]c"; "zzzz"; "ab+c" ]
 
-(* Ops: insert a small string drawn from a 4-letter alphabet, or
-   delete a range.  Positions are taken modulo the live length. *)
+(* Path and initial text of each file.  Two start without some of the
+   patterns' trigrams, so a stale index would wrongly prune them once an
+   edit spells one. *)
+let prop_files =
+  [ ("/src/a.txt", ""); ("/src/b.txt", "abd ca\n");
+    ("/src/c.txt", "abc abd cab\nbac abcd\n") ]
+
+let prop_paths = List.map fst prop_files
+
+(* Ops: rewrite one of [prop_files], inserting a small string drawn
+   from a 4-letter alphabet or deleting a range.  Positions are taken
+   modulo the live length. *)
 let ops_gen =
   QCheck.make
     ~print:
       QCheck.Print.(
-        list (pair int (pair int (option (string)))))
+        list (pair int (pair int (pair int (option string)))))
     QCheck.Gen.(
       list_size (int_range 1 30)
-        (pair (int_range 0 10000)
-           (pair (int_range 0 12)
-              (option (string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; ' ' ]) (int_range 1 8))))))
+        (pair (int_range 0 (List.length prop_files - 1))
+           (pair (int_range 0 10000)
+              (pair (int_range 0 12)
+                 (option
+                    (string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; ' ' ])
+                       (int_range 1 8)))))))
 
-let apply_op buf (pos, (len, ins)) =
-  let n = Buffer0.length buf in
+let apply_op ns (file, (pos, (len, ins))) =
+  let path = List.nth prop_paths file in
+  let s = Vfs.read_file ns path in
+  let n = String.length s in
   let pos = if n = 0 then 0 else pos mod (n + 1) in
-  (match ins with
-  | Some s -> Buffer0.insert buf pos s
-  | None -> Buffer0.delete buf pos (min len (n - pos)));
-  Buffer0.commit buf
+  let s' =
+    match ins with
+    | Some x -> String.sub s 0 pos ^ x ^ String.sub s pos (n - pos)
+    | None ->
+        let len = min len (n - pos) in
+        String.sub s 0 pos ^ String.sub s (pos + len) (n - pos - len)
+  in
+  Vfs.write_file ns path s'
 
-let prop_buffer_edits =
+let prop_file_edits =
   QCheck.Test.make
-    ~name:"indexed buffer search equals linear search under any edit script"
+    ~name:"indexed file search equals linear search under any edit script"
     ~count:60 ops_gen (fun ops ->
       let ns = Vfs.create () in
+      Vfs.mkdir_p ns "/src";
+      List.iter (fun (p, text) -> Vfs.write_file ns p text) prop_files;
       let ix = Index.create ns in
-      let buf = Buffer0.create "abc abd cab\nbac abcd\n" in
-      Index.add_buffer ix ~name:"scratch" buf;
       List.for_all
         (fun op ->
-          apply_op buf op;
+          apply_op ns op;
           List.for_all
             (fun pat ->
               let r = re pat in
-              Index.hits_text (Index.grep_buffers ix r)
-              = Index.hits_text (Index.grep_buffers_linear ix r))
+              Index.hits_text (Index.grep ix r prop_paths)
+              = Index.hits_text (Index.grep_linear ix r prop_paths))
             patterns)
         ops)
-
-let buffer_generations () =
-  let ns = Vfs.create () in
-  let ix = Index.create ns in
-  let buf = Buffer0.create "abc abd\n" in
-  Index.add_buffer ix ~name:"b" buf;
-  ignore (Index.grep_buffers ix (re "abc"));
-  let r0 = Index.reindexed ix in
-  ignore (Index.grep_buffers ix (re "abd"));
-  check_int "clean buffer is not re-tokenized" r0 (Index.reindexed ix);
-  Buffer0.insert buf 0 "xyz ";
-  Buffer0.commit buf;
-  ignore (Index.grep_buffers ix (re "xyz"));
-  check_int "dirty buffer re-tokenizes once" (r0 + 1) (Index.reindexed ix);
-  Index.remove_buffer ix buf;
-  check_int "closed buffer leaves no hits" 0
-    (List.length (Index.grep_buffers ix (re "abc")))
 
 let () =
   Alcotest.run "index"
@@ -177,10 +179,6 @@ let () =
             files_indexed_equals_linear;
           Alcotest.test_case "generation counters" `Quick generation_counters;
           Alcotest.test_case "rebuild control" `Quick rebuild_control;
-        ] );
-      ( "buffers",
-        [
-          Alcotest.test_case "buffer generations" `Quick buffer_generations;
-          QCheck_alcotest.to_alcotest prop_buffer_edits;
+          QCheck_alcotest.to_alcotest prop_file_edits;
         ] );
     ]
