@@ -16,7 +16,6 @@ dune exec bench/main.exe -- wal-smoke
 dune exec bench/main.exe -- pool-smoke
 dune exec bench/main.exe -- e13-smoke
 dune exec bench/main.exe -- gc-smoke
-dune exec bench/main.exe -- obs-smoke
 dune exec bench/main.exe -- guide-smoke
 dune exec bench/main.exe -- doc-lint
 dune exec bench/main.exe -- quick

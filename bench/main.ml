@@ -17,7 +17,7 @@ let row fmt = Printf.printf fmt
 (* Collected as the sections run; written at exit so the perf
    trajectory can be tracked across changes without scraping stdout. *)
 let j_e7 : (string * float) list ref = ref []  (* ns per operation *)
-let j_e10 : (string * float) list ref = ref []  (* wall milliseconds *)
+let j_e10 : (string * float) list ref = ref []  (* processor milliseconds *)
 let j_e11 : (string * float) list ref = ref []  (* search ns/op + ratios *)
 let j_e12 : (string * float) list ref = ref []  (* pool load figures *)
 let j_e13 : (string * float) list ref = ref []  (* serving-core figures *)
@@ -56,7 +56,7 @@ let write_json path =
          entries)
   in
   Printf.fprintf oc
-    "{\n  \"schema\": \"help-bench-9\",\n  \"e7_ns_per_op\": {\n%s\n  },\n  \
+    "{\n  \"schema\": \"help-bench-10\",\n  \"e7_ns_per_op\": {\n%s\n  },\n  \
      \"e10_ms\": {\n%s\n  },\n  \"search\": {\n%s\n  },\n  \
      \"pool\": {\n%s\n  },\n  \"e13\": {\n%s\n  },\n  \
      \"index\": {\n%s\n  },\n  \"wal\": {\n%s\n  },\n  \
@@ -501,6 +501,8 @@ let microbenches () =
 (* ------------------------------------------------------------------ *)
 (* E10: scale (the "handle large files gracefully" goal)               *)
 
+(* [f ()] and the processor seconds it took: [Sys.time] is processor
+   time, not wall time. *)
 let time f =
   let t0 = Sys.time () in
   let v = f () in
@@ -511,8 +513,8 @@ let e10_scale () =
   (* a large file through the editor data path *)
   let chunk = "a line of a very large file under interactive edit\n" in
   let big = String.concat "" (List.init 200_000 (fun _ -> chunk)) in
-  row "file of %d MB, %d lines:\n" (String.length big / 1_000_000)
-    200_000;
+  row "file of %d MB, %d lines (processor time):\n"
+    (String.length big / 1_000_000) 200_000;
   let rope, t_build = time (fun () -> Rope.of_string big) in
   row "  %-44s %8.1f ms\n" "build rope" (t_build *. 1000.);
   j10 "build rope" (t_build *. 1000.);
@@ -545,7 +547,7 @@ let e10_scale () =
   Db.install sh db;
   let dir = Corpus.install_synthetic ns ~modules:100 in
   let r, t_mk = time (fun () -> Rc.run sh ~cwd:dir "mk") in
-  row "synthetic project of 100 modules:\n";
+  row "synthetic project of 100 modules (processor time):\n";
   row "  %-44s %8.1f ms (status %d)\n" "full mk build (parse+link every unit)"
     (t_mk *. 1000.) r.Rc.r_status;
   j10 "full mk" (t_mk *. 1000.);
@@ -584,7 +586,7 @@ let e10_scale () =
                (Printf.sprintf "%s/mod%03d.c" dir i))
         done)
   in
-  row "40 windows:\n";
+  row "40 windows (processor time):\n";
   row "  %-44s %8.1f ms\n" "open all" (t_open *. 1000.);
   j10 "open 40 windows" (t_open *. 1000.);
   let _, t_draw = time (fun () -> ignore (Help.draw help)) in
@@ -682,9 +684,9 @@ let old_search re s pos =
   in
   go pos
 
-(* ns per call, by repetition under a small wall-clock budget; the
-   bechamel row stays the authoritative number for the 16KB search,
-   this is for the before/after table. *)
+(* processor ns per call, by repetition under a small [Sys.time]
+   budget; the bechamel row stays the authoritative number for the 16KB
+   search, this is for the before/after table. *)
 let bench_ns f =
   ignore (f ());
   let t0 = Sys.time () in
@@ -1209,7 +1211,7 @@ let e13_rpcs_per_client = 21
 
 type fleet_outcome = {
   f_rpcs : int;  (* served across the fleet's connections *)
-  f_secs : float;  (* wall time of the concurrent run *)
+  f_secs : float;  (* processor time of the concurrent run *)
   f_minor : float;  (* minor words allocated during it *)
   f_majors : int;  (* major collections during it *)
   f_spread : float;  (* max/min served among the fleet *)
@@ -1318,7 +1320,7 @@ let e13_serving () =
   in
   row "-- 1000 clients x %d RPCs --\n" e13_rpcs_per_client;
   row "%-36s %14d\n" "RPCs served" fleet1k.f_rpcs;
-  row "%-36s %14.0f\n" "RPCs/sec" (rate fleet1k);
+  row "%-36s %14.0f\n" "RPCs per processor second" (rate fleet1k);
   row "%-36s %14.1f\n" "minor words per RPC" (per_rpc fleet1k);
   row "%-36s %14d\n" "major collections" fleet1k.f_majors;
   row "%-36s %14.2f\n" "fairness spread" fleet1k.f_spread;
@@ -1336,12 +1338,17 @@ let e13_serving () =
   let reference2 = e13_fleet s2.Session.pool ~clients:1 ~batches:batches2 in
   let fleet10k = e13_fleet s2.Session.pool ~clients:10_000 ~batches:batches2 in
   let p99_10k = rpc_p99 () in
+  (* read before the next boot resets the ledger *)
+  let windows_10k =
+    List.filter (fun (_, dc, _, _, _) -> dc > 0)
+      (Trace.window_quantiles "nine.rpc.us")
+  in
   let identical_10k =
     Array.for_all (fun sc -> sc = reference2.f_screens.(0)) fleet10k.f_screens
   in
   row "-- 10000 clients x %d RPCs --\n" e13_rpcs_per_client;
   row "%-36s %14d\n" "RPCs served" fleet10k.f_rpcs;
-  row "%-36s %14.0f\n" "RPCs/sec" (rate fleet10k);
+  row "%-36s %14.0f\n" "RPCs per processor second" (rate fleet10k);
   row "%-36s %14.1f\n" "minor words per RPC" (per_rpc fleet10k);
   row "%-36s %14d\n" "major collections" fleet10k.f_majors;
   row "%-36s %14.2f\n" "fairness spread" fleet10k.f_spread;
@@ -1365,58 +1372,17 @@ let e13_serving () =
     new_words;
   j13 "encode_words_old" old_words;
   j13 "encode_words_new" new_words;
-  (* sampled-trace overhead: the same 1k fleet with tracing off vs
-     with 1-in-64 head sampling, both at the default window width so
-     the comparison isolates the sampling cost.  One fleet is ~50ms,
-     so GC ramp and scheduler noise inside the process swamp a single
-     pair — alternate fresh-session runs and take the best of three
-     each (sampling is set after boot; boot resets it to 1). *)
-  let overhead_run srate =
-    let s = Session.boot () in
-    if srate = 0 then Trace.set_sampling ~rate:0 ()
-    else Trace.set_sampling ~seed:7 ~rate:srate ();
-    let b = e13_script s in
-    ignore (e13_fleet s.Session.pool ~clients:1 ~batches:b);
-    rate (e13_fleet s.Session.pool ~clients:1000 ~batches:b)
-  in
-  let rates_off = ref [] and rates_on = ref [] in
-  for _ = 1 to 3 do
-    rates_off := overhead_run 0 :: !rates_off;
-    rates_on := overhead_run 64 :: !rates_on
-  done;
-  let best l = List.fold_left max 0. !l in
-  let off_rate = best rates_off and on_rate = best rates_on in
-  let overhead_pct = (off_rate -. on_rate) /. off_rate *. 100. in
-  row "-- sampled-trace overhead (1000 clients, off vs 1-in-64) --\n";
-  row "%-36s %14.0f %14.0f\n" "RPCs/sec (off / sampled, best of 3)" off_rate
-    on_rate;
-  row "%-36s %14s %14.1f\n" "overhead %% (<= 5 expected)" "" overhead_pct;
-  j13 "rpcs_per_sec_1k_notrace" off_rate;
-  j13 "rpcs_per_sec_1k_sampled64" on_rate;
-  j13 "sampling_overhead_pct" overhead_pct;
-  (* per-window throughput/latency curves: narrow the windows so one
-     more sampled fleet spans many slots — each slot covers
-     window_width logical us; the count is the slot's RPC volume, the
+  (* per-window throughput/latency curves of the 10k fleet: each slot
+     covers 65536 logical us; the count is the slot's RPC volume, the
      quantiles its latency distribution *)
-  let s5 = Session.boot () in
-  Trace.set_sampling ~seed:7 ~rate:64 ();
-  Trace.window_configure ~width:8192 ~slots:64 ();
-  let batches5 = e13_script s5 in
-  ignore (e13_fleet s5.Session.pool ~clients:1 ~batches:batches5);
-  ignore (e13_fleet s5.Session.pool ~clients:1000 ~batches:batches5);
-  let qs =
-    List.filter (fun (_, dc, _, _, _) -> dc > 0)
-      (Trace.window_quantiles "nine.rpc.us")
-  in
-  row "-- per-window latency, sampled run (slot width %d logical us) --\n"
-    (Trace.window_width ());
+  row "-- per-window latency, 10000 clients (slot width 65536 logical us) --\n";
   row "%-12s %10s %10s %10s %10s\n" "slot" "rpcs" "p50 us" "p95 us" "p99 us";
   List.iter
     (fun (slot, dc, p50, p95, p99) ->
       row "%-12d %10d %10d %10d %10d\n" slot dc p50 p95 p99)
-    qs;
-  j13 "window_slots_populated" (float_of_int (List.length qs));
-  (match List.rev qs with
+    windows_10k;
+  j13 "window_slots_populated" (float_of_int (List.length windows_10k));
+  (match List.rev windows_10k with
   | (_, dc, _, _, p99) :: _ ->
       j13 "window_last_slot_rpcs" (float_of_int dc);
       j13 "window_last_slot_p99_us" (float_of_int p99)
@@ -1427,9 +1393,9 @@ let e13_serving () =
    (no wall-clock thresholds): every client's screen byte-identical to
    the single-client run, fairness spread within 1.05, connection and
    fid accounting back to baseline after teardown, batching visible in
-   nine.batch.size, backpressure engaging (and bounded queues holding)
-   under a deliberate flood, and the replay journal respecting its
-   ring bound under overflow. *)
+   nine.batch.size, the dispatch journal reaching its sink, and
+   backpressure engaging (and the 128-deep queues holding) under a
+   deliberate flood. *)
 
 let e13_smoke () =
   let failed = ref [] in
@@ -1438,7 +1404,8 @@ let e13_smoke () =
   let s = Session.boot () in
   let conn0 = v "nine.conn.active" in
   let fid0 = Nine.Pool.fid_count s.Session.pool in
-  Nine.Pool.record_journal s.Session.pool true;
+  let journaled = ref 0 in
+  Nine.Pool.set_journal_sink s.Session.pool (Some (fun _ -> incr journaled));
   let batches = e13_script s in
   let reference = e13_fleet s.Session.pool ~clients:1 ~batches in
   let fleet = e13_fleet s.Session.pool ~clients:128 ~batches in
@@ -1451,15 +1418,12 @@ let e13_smoke () =
   let bcount, _, _, bmax = Trace.histogram_stats (Trace.histogram "nine.batch.size") in
   check "batching happened (nine.batch.size populated)" (bcount > 0);
   check "batches actually coalesce (max batch >= 2)" (bmax >= 2);
-  let jlen = List.length (Nine.Pool.journal s.Session.pool) in
-  check "journal recorded" (jlen > 0);
-  check "journal within its ring bound" (jlen <= 8192);
-  (* a deliberate flood through a tiny ring: the queue bound must hold,
-     backpressure must engage (and count), the journal ring must cap *)
+  check "journal recorded" (!journaled > 0);
+  (* a deliberate flood: the queue bound must hold and backpressure
+     must engage (and count) *)
   let ns = Vfs.create () in
-  let tiny = Nine.Pool.create ~max_queue:4 (Vfs.ramfs ns) in
-  Nine.Pool.record_journal tiny true;
-  let c = Nine.Pool.attach ~uname:"flood" tiny in
+  let pool = Nine.Pool.create (Vfs.ramfs ns) in
+  let c = Nine.Pool.attach ~uname:"flood" pool in
   ignore (Nine.Pool.transport c (Nine.encode_t ~tag:1
     (Nine.Tversion { msize = 65536; version = "9P2000.help" })));
   ignore (Nine.Pool.transport c (Nine.encode_t ~tag:2
@@ -1468,15 +1432,12 @@ let e13_smoke () =
   let bound_ok = ref true in
   for tag = 3 to 9002 do
     ignore (Nine.Pool.submit c (Nine.encode_t ~tag (Nine.Tstat { fid = 0 })));
-    if Nine.Pool.queue_length c > 4 then bound_ok := false
+    if Nine.Pool.queue_length c > 128 then bound_ok := false
   done;
-  Nine.Pool.run tiny;
+  Nine.Pool.run pool;
   check "bounded queue never exceeded under flood" !bound_ok;
   check "backpressure stalls counted"
     (v "nine.backpressure.stalls" > stalls0);
-  check "flooded journal capped at its ring bound"
-    (List.length (Nine.Pool.journal tiny) = 8192);
-  check "journal drops counted" (v "nine.journal.dropped" > 0);
   match List.rev !failed with
   | [] ->
       Printf.printf
@@ -2018,144 +1979,6 @@ let gc_smoke () =
       end
 
 (* ------------------------------------------------------------------ *)
-(* obs-smoke: the serving-telemetry gate.  Replays the figure session
-   and then exercises the whole observability surface through the
-   mount: the metrics exposition must be well-formed, every installed
-   alert rule must parse back, trace/last must peek while trace
-   drains, a request's span tree must be servable by id, sampled span
-   trees must be byte-identical across same-seed runs, and the
-   gc-smoke allocation baseline must still hold with 1-in-64 sampling
-   on.  Deterministic invariants only — no wall-clock thresholds. *)
-
-let obs_smoke () =
-  let failed = ref [] in
-  let check name ok = if not ok then failed := name :: !failed in
-  (* 1. the figure replay, then the metrics file through the mount *)
-  let d = Demo.run ~keep_screens:false () in
-  let sh = d.Demo.session.Session.sh in
-  let metrics = Rc.run sh "cat /mnt/help/metrics" in
-  check "cat /mnt/help/metrics succeeds"
-    (metrics.Rc.r_status = 0 && String.length metrics.Rc.r_out > 0);
-  let well_formed =
-    List.for_all
-      (fun line ->
-        line = "" || line.[0] = '#'
-        ||
-        match String.rindex_opt line ' ' with
-        | None -> false
-        | Some i ->
-            int_of_string_opt
-              (String.sub line (i + 1) (String.length line - i - 1))
-            <> None)
-      (String.split_on_char '\n' metrics.Rc.r_out)
-  in
-  check "every metrics line is a comment or name + integer" well_formed;
-  List.iter
-    (fun family ->
-      check ("metrics exposes " ^ family)
-        (Hstr.contains metrics.Rc.r_out ~sub:family))
-    [
-      "nine_rpc_us_bucket{le=";
-      "nine_rpc_us_window{quantile=\"0.99\"}";
-      "nine_trace_sampled_total";
-      "trace_window_rolls_total";
-    ];
-  (* 2. every installed alert rule parses back, and the table serves
-     one verdict line per rule *)
-  let rules = Trace.alert_rules () in
-  check "boot installed the default alert rules" (rules <> []);
-  List.iter
-    (fun r ->
-      check ("alert rule parses: " ^ r)
-        (match Trace.parse_alert r with Ok _ -> true | Error _ -> false))
-    rules;
-  let alerts = Rc.run sh "cat /mnt/help/alerts" in
-  check "cat /mnt/help/alerts succeeds" (alerts.Rc.r_status = 0);
-  let alert_lines =
-    List.filter
-      (fun l -> l <> "" && l.[0] <> '#')
-      (String.split_on_char '\n' alerts.Rc.r_out)
-  in
-  check "alerts serves one line per rule"
-    (List.length alert_lines = List.length rules);
-  check "every alert line carries a verdict"
-    (List.for_all
-       (fun l ->
-         Hstr.contains l ~sub:" ok " || Hstr.contains l ~sub:" firing ")
-       alert_lines);
-  (* 3. trace/last peeks, trace drains — a marker span planted now must
-     survive two peeks, appear in the drain, and then be gone *)
-  Trace.with_span "obs.marker" (fun () -> ());
-  let l1 = Rc.run sh "cat /mnt/help/trace/last" in
-  let l2 = Rc.run sh "cat /mnt/help/trace/last" in
-  check "trace/last peeks without draining"
-    (l1.Rc.r_status = 0 && l2.Rc.r_status = 0
-    && Hstr.contains l1.Rc.r_out ~sub:"obs.marker"
-    && Hstr.contains l2.Rc.r_out ~sub:"obs.marker");
-  let tr = Rc.run sh "cat /mnt/help/trace" in
-  check "cat /mnt/help/trace drains the marker"
-    (tr.Rc.r_status = 0 && Hstr.contains tr.Rc.r_out ~sub:"obs.marker");
-  let l3 = Rc.run sh "cat /mnt/help/trace/last" in
-  check "the drain drained"
-    (l3.Rc.r_status = 0 && not (Hstr.contains l3.Rc.r_out ~sub:"obs.marker"));
-  (* 4. a buffered request's span tree is servable by id *)
-  (match List.rev (Trace.requests ()) with
-  | id :: _ ->
-      let r = Rc.run sh (Printf.sprintf "cat /mnt/help/trace/%d" id) in
-      check "trace/<reqid> serves the request's span tree"
-        (r.Rc.r_status = 0
-        && Hstr.contains r.Rc.r_out ~sub:(Printf.sprintf "req=%d" id))
-  | [] -> check "sampled requests buffered after the replay" false);
-  let missing = Rc.run sh "cat /mnt/help/trace/999999999" in
-  check "trace/<unknown> fails" (missing.Rc.r_status <> 0);
-  (* 5. same seed, same script => byte-identical sampled span trees
-     (ids, sampling verdicts and the logical clock all restart at
-     Session.boot) *)
-  let sampled_trees () =
-    let s = Session.boot () in
-    Trace.set_sampling ~seed:11 ~rate:4 ();
-    ignore (Session.screen s);
-    ignore (Rc.run s.Session.sh "cat /mnt/help/index");
-    ignore (Rc.run s.Session.sh "echo done");
-    String.concat "\n---\n"
-      (List.filter_map Trace.request_text (Trace.requests ()))
-  in
-  let run1 = sampled_trees () in
-  let run2 = sampled_trees () in
-  check "sampled span trees identical across same-seed runs"
-    (run1 <> "" && run1 = run2);
-  check "1-in-4 sampling dropped some requests"
-    (Option.value ~default:0 (Trace.find_value "nine.trace.dropped") > 0);
-  (* 6. the gc-smoke allocation baseline still holds with sampling on *)
-  let s6 = Session.boot () in
-  Trace.set_sampling ~seed:7 ~rate:64 ();
-  let batches = e13_script s6 in
-  ignore (e13_fleet s6.Session.pool ~clients:1 ~batches);
-  let o = e13_fleet s6.Session.pool ~clients:256 ~batches in
-  let words = o.f_minor /. float_of_int o.f_rpcs in
-  (match ledger_float "BENCH_results.json" "minor_words_per_rpc_smoke" with
-  | None -> ()
-  | Some baseline ->
-      check
-        (Printf.sprintf
-           "allocation baseline holds at 1-in-64 sampling (%.1f vs ledgered \
-            %.1f words/RPC)"
-           words baseline)
-        (words <= baseline *. 1.25));
-  match List.rev !failed with
-  | [] ->
-      Printf.printf
-        "obs-smoke: ok (%d alert rules, %d metrics bytes, sampled trees \
-         deterministic, %.1f words/RPC at 1-in-64)\n"
-        (List.length rules)
-        (String.length metrics.Rc.r_out)
-        words;
-      exit 0
-  | fs ->
-      List.iter (fun f -> Printf.printf "obs-smoke FAIL: %s\n" f) fs;
-      exit 1
-
-(* ------------------------------------------------------------------ *)
 (* guide-smoke: the executable-documentation gate.  A scripted user
    opens the manual and browses it by mouse alone — index, help(1),
    through SEE ALSO to helpfs(4) and on to nine(5) — composing and
@@ -2566,11 +2389,30 @@ let doc_lint () =
       List.iter (fun f -> Printf.printf "doc-lint FAIL: %s\n" f) fs;
       exit 1
 
+(* The --json argument, checked before anything runs: a missing path
+   or a path in a directory that does not exist fails now, not after
+   every section has run. *)
+let json_path () =
+  let fail msg =
+    prerr_endline ("bench: --json " ^ msg);
+    exit 2
+  in
+  let rec go = function
+    | [] -> None
+    | [ "--json" ] -> fail "needs a path"
+    | "--json" :: path :: _ ->
+        let dir = Filename.dirname path in
+        if Sys.file_exists dir && Sys.is_directory dir then Some path
+        else fail (Printf.sprintf "%s: no directory %s" path dir)
+    | _ :: rest -> go rest
+  in
+  go (List.tl (Array.to_list Sys.argv))
+
 let () =
+  let json_path = json_path () in
   if Array.exists (fun a -> a = "pool-smoke") Sys.argv then pool_smoke ();
   if Array.exists (fun a -> a = "e13-smoke") Sys.argv then e13_smoke ();
   if Array.exists (fun a -> a = "gc-smoke") Sys.argv then gc_smoke ();
-  if Array.exists (fun a -> a = "obs-smoke") Sys.argv then obs_smoke ();
   if Array.exists (fun a -> a = "doc-lint") Sys.argv then doc_lint ();
   if Array.exists (fun a -> a = "trace-smoke") Sys.argv then trace_smoke ();
   if Array.exists (fun a -> a = "search-smoke") Sys.argv then search_smoke ();
@@ -2579,15 +2421,6 @@ let () =
   if Array.exists (fun a -> a = "wal-smoke") Sys.argv then wal_smoke ();
   if Array.exists (fun a -> a = "guide-smoke") Sys.argv then guide_smoke ();
   let quick = Array.exists (fun a -> a = "quick") Sys.argv in
-  let json_path =
-    let n = Array.length Sys.argv in
-    let rec go i =
-      if i >= n then None
-      else if Sys.argv.(i) = "--json" && i + 1 < n then Some Sys.argv.(i + 1)
-      else go (i + 1)
-    in
-    go 1
-  in
   print_endline
     "help: experiment harness for \"A Minimalist Global User Interface\" (Pike, 1991)";
   let demo = e1_demo () in

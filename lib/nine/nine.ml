@@ -8,25 +8,11 @@
    ten thousand seats costs the same per request as one holding two.
    [Pool] is the only way in: it owns the server and is its cooperative
    scheduler — bounded per-connection rings, round-robin batches,
-   continuations, and the replay journal. *)
+   continuations, and the dispatch journal sink. *)
 
 include Wire
 
 let bad msg = raise (Bad_message msg)
-
-(* Trace context, allocated at submit time — before any work happens —
-   so every request has an id and a head-sampling verdict that travel
-   with it through dispatch into the server and down into Help. *)
-type request = { req_id : int; req_sampled : bool }
-
-let trace_sampled = Trace.counter "nine.trace.sampled"
-let trace_dropped = Trace.counter "nine.trace.dropped"
-
-let new_request () =
-  let id = Trace.request_id () in
-  let sampled = Trace.sample id in
-  if sampled then Trace.incr trace_sampled else Trace.incr trace_dropped;
-  { req_id = id; req_sampled = sampled }
 
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
@@ -254,10 +240,9 @@ module Server = struct
   (* Execute one decoded request and append its framed reply to [w]:
      tallies, timing, fid-gauge upkeep.  [len] is the request's wire
      length, checked against the connection's msize.  [req] is the
-     trace context allocated at submit time: a sampled request executes
-     inside a [rpc.<kind>] span that tags the whole nested tree — the
-     server's work, Vfs resolution, Help execution — with the request
-     id. *)
+     request id allocated at submit time: the request executes inside a
+     [rpc.<kind>] span that tags the whole nested tree — the server's
+     work, Vfs resolution, Help execution — with it. *)
   let dispatch srv conn w ~tag ~len ~req msg =
     let kind = kind_of_t msg in
     count srv kind;
@@ -273,13 +258,10 @@ module Server = struct
         with Vfs.Error e -> Rerror { ename = Vfs.error_message e }
     in
     let reply =
-      if req.req_sampled then
-        Trace.with_request ~reqid:req.req_id
-          ~args:
-            [ ("conn", string_of_int conn.conn_id);
-              ("req", string_of_int req.req_id) ]
-          ("rpc." ^ kind) run
-      else run ()
+      Trace.with_request ~reqid:req
+        ~args:
+          [ ("conn", string_of_int conn.conn_id); ("req", string_of_int req) ]
+        ("rpc." ^ kind) run
     in
     Trace.observe rpc_us (Trace.now_us () - t0);
     Trace.set_gauge live_fids srv.live;
@@ -305,8 +287,8 @@ end
      drained between batches, so thousands of scripted clients
      interleave without threads;
 
-   - a bounded replay journal of (clock, conn, kind) dispatch records,
-     dropping the oldest beyond [journal_cap] ([nine.journal.dropped]).
+   - a journal sink that receives a (clock, conn, kind) record per
+     dispatched request.
 
    Everything is deterministic: connections are served in ready-queue
    order, which is a pure function of the submission schedule, and the
@@ -320,7 +302,7 @@ module Pool = struct
     e_ticket : int;
     e_tag : int;
     e_len : int;  (* request wire length, for the server's msize check *)
-    e_req : request;
+    e_req : int;  (* request id, allocated at submit time *)
     e_msg : tmsg;
     mutable e_cancelled : bool;  (* tombstoned by a Tflush while queued *)
   }
@@ -344,46 +326,30 @@ module Pool = struct
 
   and t = {
     srv : Server.t;
-    max_queue : int;
-    batch_limit : int;
     conns : (int, conn) Hashtbl.t;  (* by conn id; ids grow in attach order *)
     mutable next_id : int;
     ready : conn Queue.t;
     tasks : (unit -> unit) Queue.t;
-    (* bounded journal ring, oldest dropped on overflow *)
-    mutable journal : (int * int * string) array option;
-    mutable j_head : int;
-    mutable j_len : int;
-    (* durability sink: sees every dispatch record before the bounded
-       ring can evict it, so WAL persistence never loses an entry the
-       ring dropped under flood *)
     mutable journal_sink : (int * int * string -> unit) option;
   }
 
   let stalls = Trace.counter "nine.backpressure.stalls"
   let batch_size = Trace.histogram "nine.batch.size"
-  let journal_dropped = Trace.counter "nine.journal.dropped"
   let flush_cancelled = Trace.counter "nine.flush.cancelled"
   let flush_stale = Trace.counter "nine.flush.stale"
   let conn_gauge = Trace.gauge "nine.conn.active"
   let conn_attached = Trace.counter "nine.conn.attached"
 
-  let journal_cap = 8192
+  let max_queue = 128
+  let batch_limit = 8
 
-  let create ?(max_queue = 128) ?(batch_limit = 8) fs =
-    if max_queue < 1 then invalid_arg "Pool.create: max_queue < 1";
-    if batch_limit < 1 then invalid_arg "Pool.create: batch_limit < 1";
+  let create fs =
     {
       srv = Server.create fs;
-      max_queue;
-      batch_limit;
       conns = Hashtbl.create 64;
       next_id = 0;
       ready = Queue.create ();
       tasks = Queue.create ();
-      journal = None;
-      j_head = 0;
-      j_len = 0;
       journal_sink = None;
     }
 
@@ -398,7 +364,7 @@ module Pool = struct
         sconn = Server.connection ~id ~uname;
         rpcs = Trace.counter (rpcs_name id);
         writer = Writer.create 1024;
-        q = Array.make (min 8 p.max_queue) None;
+        q = Array.make 8 None;
         q_head = 0;
         q_len = 0;
         outcomes = Hashtbl.create 8;
@@ -449,8 +415,8 @@ module Pool = struct
 
   let q_push c e =
     let cap = Array.length c.q in
-    if c.q_len = cap && cap < c.pool.max_queue then begin
-      let cap' = min (2 * cap) c.pool.max_queue in
+    if c.q_len = cap && cap < max_queue then begin
+      let cap' = min (2 * cap) max_queue in
       let q' = Array.make cap' None in
       for i = 0 to c.q_len - 1 do
         q'.(i) <- c.q.((c.q_head + i) mod cap)
@@ -483,50 +449,14 @@ module Pool = struct
   (* ---------------------------------------------------------------- *)
   (* Journal                                                           *)
 
-  let record_journal p on =
-    if on then begin
-      p.journal <- Some (Array.make journal_cap (0, 0, ""));
-      p.j_head <- 0;
-      p.j_len <- 0
-    end
-    else p.journal <- None
-
-  let journal p =
-    match p.journal with
-    | None -> []
-    | Some a ->
-        List.init p.j_len (fun i -> a.((p.j_head + i) mod journal_cap))
-
   let set_journal_sink p sink = p.journal_sink <- sink
 
-  (* The sink sees the record first, before the bounded ring has a
-     chance to evict anything — WAL persistence consumes entries ahead
-     of eviction, so a ring drop under flood loses only the debug copy.
-     With the ring enabled the stamp is a clock reading (one tick per
-     dispatch); with only a sink it is the clock's current position, so
-     attaching durability does not perturb timestamps. *)
+  (* The stamp is the clock's current position, not a reading, so
+     attaching a sink does not perturb timestamps. *)
   let journal_record p c kind =
-    if p.journal <> None || p.journal_sink <> None then begin
-      let stamp =
-        match p.journal with
-        | Some _ -> Trace.now_us ()
-        | None -> Trace.logical_now ()
-      in
-      let e = (stamp, conn_id c, kind) in
-      (match p.journal_sink with Some sink -> sink e | None -> ());
-      match p.journal with
-      | None -> ()
-      | Some a ->
-          if p.j_len = journal_cap then begin
-            a.(p.j_head) <- e;
-            p.j_head <- (p.j_head + 1) mod journal_cap;
-            Trace.incr journal_dropped
-          end
-          else begin
-            a.((p.j_head + p.j_len) mod journal_cap) <- e;
-            p.j_len <- p.j_len + 1
-          end
-    end
+    match p.journal_sink with
+    | Some sink -> sink (Trace.logical_now (), conn_id c, kind)
+    | None -> ()
 
   (* ---------------------------------------------------------------- *)
   (* Settling                                                          *)
@@ -586,7 +516,7 @@ module Pool = struct
     Writer.clear c.writer;
     let served = ref 0 in
     let exhausted = ref false in
-    while (not !exhausted) && !served < p.batch_limit && c.q_len > 0 do
+    while (not !exhausted) && !served < batch_limit && c.q_len > 0 do
       match q_pop c with
       | None -> exhausted := true
       | Some e when e.e_cancelled -> ()
@@ -653,14 +583,14 @@ module Pool = struct
             end);
         if !hit then Trace.incr flush_cancelled else Trace.incr flush_stale
     | _ -> ());
-    while c.q_len >= p.max_queue do
+    while c.q_len >= max_queue do
       Trace.incr stalls;
       if not (step p) then
         (* unreachable: this connection's own full queue is schedulable *)
         invalid_arg "Pool: stalled with nothing to serve"
     done;
     q_push c { e_ticket = ticket; e_tag = tag; e_len = len;
-               e_req = new_request (); e_msg = msg; e_cancelled = false };
+               e_req = Trace.request_id (); e_msg = msg; e_cancelled = false };
     mark_ready c;
     ticket
 

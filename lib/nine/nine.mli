@@ -93,25 +93,23 @@ val decode_stats : string -> stat9 list
     The server and the only way into it: many connections over one
     in-process server, each with its own fid table, negotiated msize
     and uname, and a cooperative scheduler in front.  Requests are
-    queued per connection into a bounded FIFO ring ({!Pool.submit}; a
+    queued per connection into a FIFO ring of 128 ({!Pool.submit}; a
     full ring applies backpressure, counted as
     [nine.backpressure.stalls]) and served in round-robin batches
-    ({!Pool.step} serves up to the pool's batch limit of one
-    connection's requests per turn, observed in the [nine.batch.size]
-    histogram) — each turn of the ready queue serves at most one batch
-    per connection, so a chatty client waits behind everyone else's
-    next batch and can never starve the rest.  Connections are served
+    ({!Pool.step} serves up to 8 of one connection's requests per turn,
+    observed in the [nine.batch.size] histogram) — each turn of the
+    ready queue serves at most one batch per connection, so a chatty
+    client waits behind everyone else's next batch and can never starve
+    the rest.  Connections are served
     in ready order, a pure function of the submission schedule, and the
     server runs on the deterministic logical clock, so the same
     schedule replays to the same interleaving byte for byte.
 
     Every request is tallied on the global ledger ([nine.rpc.<kind>]
     counters, the [nine.rpc.us] latency histogram, the
-    [nine.fids.live] gauge) and given a request id with a head-sampling
-    verdict at submit time ([nine.trace.sampled] /
-    [nine.trace.dropped]); a sampled request's whole execution is
-    recorded as a span tree tagged with its id, readable as
-    [/mnt/help/trace/<reqid>]. *)
+    [nine.fids.live] gauge) and given a request id at submit time; its
+    whole execution is recorded as a span tree tagged with that id,
+    readable as [/mnt/help/trace/<reqid>]. *)
 
 module Pool : sig
   type t
@@ -127,11 +125,8 @@ module Pool : sig
     | Flushed  (** cancelled by a later [Tflush] before it ran *)
 
   (** A server for the given file system (its paths are
-      server-relative), with no connections yet.  [max_queue] bounds
-      each connection's submission ring (default 128) and
-      [batch_limit] caps requests served per connection per turn
-      (default 8). *)
-  val create : ?max_queue:int -> ?batch_limit:int -> Vfs.filesystem -> t
+      server-relative), with no connections yet. *)
+  val create : Vfs.filesystem -> t
 
   (** Open a connection and add it at the back of the scheduler ring.
       [uname] (default "none") labels it in {!stats} until its
@@ -166,8 +161,8 @@ module Pool : sig
       order. *)
   val feed : conn -> string -> int list
 
-  (** Requests currently queued on this connection — never exceeds the
-      pool's [max_queue]. *)
+  (** Requests currently queued on this connection — never exceeds
+      128. *)
   val queue_length : conn -> int
 
   val poll : conn -> int -> outcome
@@ -182,8 +177,8 @@ module Pool : sig
   val on_settled : conn -> int -> (outcome -> unit) -> unit
 
   (** One scheduler turn: drain pending continuations, then serve up to
-      [batch_limit] queued requests of the next ready connection;
-      [false] when nothing is left to do. *)
+      8 queued requests of the next ready connection; [false] when
+      nothing is left to do. *)
   val step : t -> bool
 
   (** {!step} until every queue is empty. *)
@@ -217,25 +212,12 @@ module Pool : sig
       link's this way. *)
   val kind_counts : t -> (string * int) list
 
-  (** [record_journal p true] starts recording [(clock reading, conn
-      id, message kind)] per dispatched request — the interleaving
-      transcript used by replay tests.  The journal is a bounded ring:
-      past its capacity the oldest records are dropped and counted as
-      [nine.journal.dropped], so an unbounded bench run cannot grow it
-      without limit.  Recording reads the clock, so it perturbs
-      timings; leave it off outside tests. *)
-  val record_journal : t -> bool -> unit
-
-  (** The journal recorded so far, oldest first ([] if off). *)
-  val journal : t -> (int * int * string) list
-
-  (** Install (or clear) a durability sink that receives every
-      [(clock, conn_id, kind)] dispatch record as it is made — before
-      the bounded ring can evict anything, so a consumer that persists
-      entries (the WAL) never loses one to a ring drop.  With the ring
-      off, sink records are stamped with the clock's current position
-      rather than a reading, so installing a sink does not perturb
-      timestamps. *)
+  (** Install (or clear) the journal sink: it receives a
+      [(clock, conn_id, kind)] record per dispatched request, in
+      dispatch order — the interleaving transcript the WAL persists and
+      replay tests compare.  Records are stamped with the clock's
+      current position rather than a reading, so installing a sink does
+      not perturb timestamps. *)
   val set_journal_sink : t -> (int * int * string -> unit) option -> unit
 end
 

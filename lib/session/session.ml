@@ -170,21 +170,19 @@ let install_wal t a =
 (* ------------------------------------------------------------------ *)
 (* Boot, in two phases
 
-   [wire] builds what a snapshot cannot hold: the alert rules, shell
-   natives, the profile's binds and function, the planted process, the
-   /mnt/help server and pool, and the CPU link.  It also installs the
-   corpus, which the snapshot does hold, because the profile,
-   [plant_crash] and [Cpu.connect] read it.  [populate] builds the rest
-   of what a snapshot holds: the demo binary's files in the RAM tree
-   and the boot-screen windows.  Boot runs both; recovery runs [wire]
-   and restores a snapshot where boot would run [populate]. *)
+   [wire] builds what a snapshot cannot hold: shell natives, the
+   profile's binds and function, the planted process, the /mnt/help
+   server and pool, and the CPU link.  It also installs the corpus,
+   which the snapshot does hold, because the profile, [plant_crash] and
+   [Cpu.connect] read it.  [populate] builds the rest of what a
+   snapshot holds: the demo binary's files in the RAM tree and the
+   boot-screen windows.  Boot runs both; recovery runs [wire] and
+   restores a snapshot where boot would run [populate]. *)
 
 let wire ?w ?h ?place ~remote ?fault () =
   (* each session starts a fresh observability ledger (and a fresh
-     logical trace clock), so scripted sessions trace identically; the
-     stock alert rules watch the serving layer from the first RPC *)
+     logical trace clock), so scripted sessions trace identically *)
   Trace.reset ();
-  Trace.install_default_alerts ();
   let ns = Vfs.create () in
   Corpus.install ns;
   let sh = Rc.create ns in

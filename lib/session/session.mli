@@ -37,12 +37,12 @@ val crash_pid : int
     identical [/mnt/help/trace] logs.
 
     Boot runs in two phases.  {e Wire} builds what a snapshot cannot
-    hold — the alert rules, the namespace's mounts, every shell native,
-    the profile's binds and function, the planted process, the
-    [/mnt/help] server and pool, and the CPU link — and installs the
-    corpus those read.  {e Populate} builds the rest of what a snapshot
-    holds: the demo binary [mk] compiles (RAM-tree files) and the
-    boot-screen windows.  {!recover} runs only wire.
+    hold — the namespace's mounts, every shell native, the profile's
+    binds and function, the planted process, the [/mnt/help] server and
+    pool, and the CPU link — and installs the corpus those read.
+    {e Populate} builds the rest of what a snapshot holds: the demo
+    binary [mk] compiles (RAM-tree files) and the boot-screen windows.
+    {!recover} runs only wire.
 
     [boot ~remote:true] additionally connects a CPU server and routes
     every external command there — the paper's "invisible call to the
@@ -57,12 +57,12 @@ val crash_pid : int
 
     [boot ~wal:store] attaches a write-ahead log: every public driving
     operation is recorded in [store], the scheduler's dispatch journal
-    is persisted through the sink before the bounded ring can drop it,
-    and boot ends with a logged draw and an initial snapshot (so
-    {!recover} always has one).  [checkpoint_every] arms automatic
-    snapshots after that many ops, taken at the next logged draw.
-    Attaching a WAL is clock-transparent: the logical trace clock of a
-    logged run matches an unlogged one event for event. *)
+    is persisted through the pool's journal sink, and boot ends with a
+    logged draw and an initial snapshot (so {!recover} always has
+    one).  [checkpoint_every] arms automatic snapshots after that many
+    ops, taken at the next logged draw.  Attaching a WAL is
+    clock-transparent: the logical trace clock of a logged run matches
+    an unlogged one event for event. *)
 val boot :
   ?w:int ->
   ?h:int ->

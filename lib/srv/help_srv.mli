@@ -17,7 +17,7 @@
                            text; a trailing line marks dropped spans)
     /mnt/help/trace/last   the same rendering without the drain — any
                            number of observers may peek
-    /mnt/help/trace/NNN    the span tree of sampled request NNN; these
+    /mnt/help/trace/NNN    the span tree of request NNN; these
                            two are reached by walking through [trace],
                            which remains a file (they are not listed)
     /mnt/help/wal/stats    the durability ledger: log and snapshot

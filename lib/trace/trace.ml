@@ -193,13 +193,11 @@ let find_value name =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Request context and head sampling                                   *)
+(* Request context                                                     *)
 
 (* Request ids are allocated at scheduler submit time (one per RPC) and
    reset with the ledger, so the same scripted session allocates the
-   same ids on every run.  The sampling verdict is a pure function of
-   (seed, id): head sampling — decided before any work happens — that
-   replays identically under the same seed. *)
+   same ids on every run. *)
 
 let next_req = ref 0
 
@@ -208,26 +206,6 @@ let request_id () =
   !next_req
 
 let cur_req = ref 0
-let sample_seed = ref 0
-let sample_rate = ref 1
-
-let set_sampling ?seed ?rate () =
-  (match seed with Some s -> sample_seed := s | None -> ());
-  (match rate with Some r -> sample_rate := max 0 r | None -> ())
-
-let sampling () = (!sample_seed, !sample_rate)
-
-let sample reqid =
-  match !sample_rate with
-  | 0 -> false
-  | 1 -> true
-  | n ->
-      (* integer avalanche of (seed, id): deterministic, well spread *)
-      let x = !sample_seed lxor (reqid * 0x9E3779B9) in
-      let x = x lxor (x lsr 16) in
-      let x = x * 0x45D9F3B land max_int in
-      let x = x lxor (x lsr 13) in
-      x mod n = 0
 
 (* ------------------------------------------------------------------ *)
 (* Span ring                                                           *)
@@ -242,54 +220,47 @@ type span = {
 }
 
 (* Circular buffer of completed spans; overflow drops the oldest. *)
-let default_capacity = 4096
-let ring = ref (Array.make default_capacity None)
+let ring_size = 4096
+let ring = Array.make ring_size None
 let ring_head = ref 0  (* index of the oldest buffered span *)
 let ring_len = ref 0
 let ring_dropped = ref 0  (* since the last drain *)
 let dropped_total = counter "trace.spans.dropped"
 let depth = ref 0
 
-let set_ring_capacity n =
-  let n = max 1 n in
-  ring := Array.make n None;
-  ring_head := 0;
-  ring_len := 0
-
-let ring_capacity () = Array.length !ring
 let pending_spans () = !ring_len
 
 let record sp =
-  let cap = Array.length !ring in
-  if !ring_len = cap then begin
+  if !ring_len = ring_size then begin
     (* overwrite the oldest *)
-    !ring.(!ring_head) <- Some sp;
-    ring_head := (!ring_head + 1) mod cap;
+    ring.(!ring_head) <- Some sp;
+    ring_head := (!ring_head + 1) mod ring_size;
     Stdlib.incr ring_dropped;
     incr dropped_total
   end
   else begin
-    !ring.((!ring_head + !ring_len) mod cap) <- Some sp;
+    ring.((!ring_head + !ring_len) mod ring_size) <- Some sp;
     Stdlib.incr ring_len
   end
 
 let peek () =
-  let cap = Array.length !ring in
   let spans =
     List.init !ring_len (fun i ->
-        match !ring.((!ring_head + i) mod cap) with
+        match ring.((!ring_head + i) mod ring_size) with
         | Some sp -> sp
         | None -> assert false)
   in
   (spans, !ring_dropped)
 
-let drain () =
-  let out = peek () in
-  let cap = Array.length !ring in
-  Array.fill !ring 0 cap None;
+let clear_ring () =
+  Array.fill ring 0 ring_size None;
   ring_head := 0;
   ring_len := 0;
-  ring_dropped := 0;
+  ring_dropped := 0
+
+let drain () =
+  let out = peek () in
+  clear_ring ();
   out
 
 let with_span_result name f =
@@ -388,8 +359,8 @@ let request_text reqid =
    [a, b).  A clock jump larger than the whole window prunes every old
    snapshot — those slots have expired and are never reported. *)
 
-let default_window_width = 65536
-let default_window_slots = 16
+let w_width = 65536
+let w_slots = 16
 
 type hsnap = { hs_count : int; hs_sum : int; hs_b : int array }
 let zero_hsnap = { hs_count = 0; hs_sum = 0; hs_b = Array.make hist_buckets 0 }
@@ -400,8 +371,6 @@ type snap = {
   sn_hists : (string * hsnap) list;  (* sorted by name *)
 }
 
-let w_width = ref default_window_width
-let w_slots = ref default_window_slots
 let w_epoch = ref 0
 let w_snaps : snap list ref = ref []  (* newest first *)
 let w_rolls = counter "trace.window.rolls"
@@ -425,23 +394,13 @@ let take_snap at =
     sn_hists = List.sort (fun (a, _) (b, _) -> compare a b) !hists }
 
 let window_check t =
-  let e = t / !w_width in
+  let e = t / w_width in
   if e > !w_epoch then begin
-    let keep = e - !w_slots in
+    let keep = e - w_slots in
     w_snaps := take_snap e :: List.filter (fun s -> s.sn_at >= keep) !w_snaps;
     w_epoch := e;
     incr w_rolls
   end
-
-let window_configure ?width ?slots () =
-  (match width with Some w -> w_width := max 1 w | None -> ());
-  (match slots with Some s -> w_slots := max 1 s | None -> ());
-  let e = !logical / !w_width in
-  w_epoch := e;
-  w_snaps := [ take_snap e ]
-
-let window_width () = !w_width
-let window_slots () = !w_slots
 
 (* Consecutive snapshot pairs, oldest first. *)
 let snap_pairs () =
@@ -566,117 +525,36 @@ let metrics_text () =
 (* Alerts                                                              *)
 
 (* A threshold-watch table over the ledger: each rule names a source —
-   the current value of a counter or gauge, the last closed window's
-   delta of a counter, or a percentile of a histogram over the last
-   closed window — and compares it against a constant.  The table is
-   tiny and evaluated only when read ([/mnt/help/alerts]), so a rule
-   costs nothing until somebody cats the file. *)
+   the last closed window's delta of a counter, or a percentile of a
+   histogram over the last closed window — and fires when it exceeds a
+   constant.  The table is fixed and evaluated only when read
+   ([/mnt/help/alerts]), so a rule costs nothing until somebody cats
+   the file. *)
 
-type alert_source =
-  | Avalue of string
-  | Arate of string
-  | Apct of string * float
+type alert_source = Arate of string | Apct of string * float
 
-type alert_op = Gt | Ge | Lt | Le
+type alert = { a_name : string; a_src : alert_source; a_thresh : int }
 
-type alert = {
-  a_name : string;
-  a_src : alert_source;
-  a_op : alert_op;
-  a_thresh : int;
-}
-
-let alert_table : alert list ref = ref []
+let alerts =
+  [
+    { a_name = "rpc-p99"; a_src = Apct ("nine.rpc.us", 99.);
+      a_thresh = 100000 };
+    { a_name = "backpressure"; a_src = Arate "nine.backpressure.stalls";
+      a_thresh = 1000 };
+    { a_name = "span-drops"; a_src = Arate "trace.spans.dropped";
+      a_thresh = 100000 };
+    (* a healthy index re-tokenizes a handful of dirty documents per
+       query; a sustained storm means staleness tracking is thrashing *)
+    { a_name = "index-thrash"; a_src = Arate "index.stale.reindexed";
+      a_thresh = 10000 };
+  ]
 
 let render_source = function
-  | Avalue m -> Printf.sprintf "value(%s)" m
   | Arate m -> Printf.sprintf "rate(%s)" m
-  | Apct (m, p) ->
-      if Float.is_integer p then
-        Printf.sprintf "p%d(%s)" (int_of_float p) m
-      else Printf.sprintf "p%g(%s)" p m
-
-let render_op = function Gt -> ">" | Ge -> ">=" | Lt -> "<" | Le -> "<="
-
-let render_alert a =
-  Printf.sprintf "%s: %s %s %d" a.a_name (render_source a.a_src)
-    (render_op a.a_op) a.a_thresh
-
-let strip s =
-  let is_sp c = c = ' ' || c = '\t' in
-  let n = String.length s in
-  let i = ref 0 and j = ref n in
-  while !i < n && is_sp s.[!i] do Stdlib.incr i done;
-  while !j > !i && is_sp s.[!j - 1] do Stdlib.decr j done;
-  String.sub s !i (!j - !i)
-
-let parse_source expr =
-  match String.index_opt expr '(' with
-  | Some oi
-    when String.length expr > oi + 1
-         && expr.[String.length expr - 1] = ')' -> (
-      let fn = String.sub expr 0 oi in
-      let m = String.sub expr (oi + 1) (String.length expr - oi - 2) in
-      if m = "" then Error "empty metric name"
-      else
-        match fn with
-        | "value" -> Ok (Avalue m)
-        | "rate" -> Ok (Arate m)
-        | _ when String.length fn > 1 && fn.[0] = 'p' -> (
-            match
-              float_of_string_opt (String.sub fn 1 (String.length fn - 1))
-            with
-            | Some p when p >= 0. && p <= 100. -> Ok (Apct (m, p))
-            | _ -> Error (Printf.sprintf "bad percentile %S" fn))
-        | _ -> Error (Printf.sprintf "unknown source %S" fn))
-  | _ -> Error (Printf.sprintf "expected fn(metric), got %S" expr)
-
-let parse_alert line =
-  match String.index_opt line ':' with
-  | None -> Error "missing `name:' prefix"
-  | Some ci -> (
-      let name = strip (String.sub line 0 ci) in
-      let rest =
-        strip (String.sub line (ci + 1) (String.length line - ci - 1))
-      in
-      if name = "" then Error "empty rule name"
-      else
-        match
-          String.split_on_char ' ' rest |> List.filter (fun t -> t <> "")
-        with
-        | [ expr; op; thresh ] -> (
-            let op =
-              match op with
-              | ">" -> Ok Gt
-              | ">=" -> Ok Ge
-              | "<" -> Ok Lt
-              | "<=" -> Ok Le
-              | o -> Error (Printf.sprintf "unknown comparison %S" o)
-            in
-            match (parse_source expr, op, int_of_string_opt thresh) with
-            | Ok s, Ok o, Some t ->
-                Ok { a_name = name; a_src = s; a_op = o; a_thresh = t }
-            | (Error _ as e), _, _ -> e
-            | _, Error e, _ -> Error e
-            | _, _, None -> Error (Printf.sprintf "bad threshold %S" thresh))
-        | _ -> Error "expected `name: fn(metric) op threshold'")
-
-let add_alert a =
-  alert_table :=
-    List.filter (fun x -> x.a_name <> a.a_name) !alert_table @ [ a ]
-
-let install_alert line =
-  match parse_alert line with
-  | Ok a ->
-      add_alert a;
-      Ok a
-  | Error _ as e -> e
-
-let alert_rules () = List.map render_alert !alert_table
+  | Apct (m, p) -> Printf.sprintf "p%g(%s)" p m
 
 let eval_alert a =
   match a.a_src with
-  | Avalue m -> ( match find_value m with Some v -> v | None -> 0)
   | Arate m -> (
       match List.rev (window_series m) with (_, d) :: _ -> d | [] -> 0)
   | Apct (m, p) -> (
@@ -689,50 +567,24 @@ let eval_alert a =
           | [] -> percentile h p)
       | _ -> 0)
 
-let alert_firing a v =
-  match a.a_op with
-  | Gt -> v > a.a_thresh
-  | Ge -> v >= a.a_thresh
-  | Lt -> v < a.a_thresh
-  | Le -> v <= a.a_thresh
-
 let alerts_text () =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "# %d rules, window %dus x %d slots\n"
-       (List.length !alert_table) !w_width !w_slots);
+       (List.length alerts) w_width w_slots);
   List.iter
     (fun a ->
       let v = eval_alert a in
       Buffer.add_string b
-        (Printf.sprintf "%s %s %d %s %s %d\n" a.a_name
-           (if alert_firing a v then "firing" else "ok")
-           v (render_source a.a_src) (render_op a.a_op) a.a_thresh))
-    !alert_table;
+        (Printf.sprintf "%s %s %d %s > %d\n" a.a_name
+           (if v > a.a_thresh then "firing" else "ok")
+           v (render_source a.a_src) a.a_thresh))
+    alerts;
   Buffer.contents b
-
-let default_alerts =
-  [
-    "rpc-p99: p99(nine.rpc.us) > 100000";
-    "backpressure: rate(nine.backpressure.stalls) > 1000";
-    "journal-drops: value(nine.journal.dropped) > 0";
-    "span-drops: rate(trace.spans.dropped) > 100000";
-    (* a healthy index re-tokenizes a handful of dirty documents per
-       query; a sustained storm means staleness tracking is thrashing *)
-    "index-thrash: rate(index.stale.reindexed) > 10000";
-  ]
-
-let install_default_alerts () =
-  List.iter
-    (fun l ->
-      match install_alert l with
-      | Ok _ -> ()
-      | Error e -> invalid_arg (Printf.sprintf "Trace: default alert %S: %s" l e))
-    default_alerts
 
 (* ------------------------------------------------------------------ *)
 
-let reset () =
+let zero_registry () =
   Hashtbl.iter
     (fun _ inst ->
       match inst with
@@ -744,21 +596,15 @@ let reset () =
           h.h_min <- 0;
           h.h_max <- 0;
           Array.fill h.h_b 0 hist_buckets 0)
-    registry;
-  let cap = Array.length !ring in
-  Array.fill !ring 0 cap None;
-  ring_head := 0;
-  ring_len := 0;
-  ring_dropped := 0;
+    registry
+
+let reset () =
+  zero_registry ();
+  clear_ring ();
   depth := 0;
   logical := 0;
   next_req := 0;
   cur_req := 0;
-  sample_seed := 0;
-  sample_rate := 1;
-  alert_table := [];
-  w_width := default_window_width;
-  w_slots := default_window_slots;
   w_epoch := 0;
   w_snaps := [ take_snap 0 ]
 
@@ -767,12 +613,12 @@ let reset () =
 
 (* Everything a recovered session needs to continue the crashed
    session's ledger exactly: the clock position, request-id allocator,
-   sampling, window geometry and epoch, every instrument's value, the
-   alert table, and the retained window snapshots.  The span ring is
+   window epoch, every instrument's value, and the retained window
+   snapshots.  The span ring is
    deliberately NOT captured — spans are debug traffic, and recovery
    restarts with an empty ring (depth 0, nothing buffered). *)
 
-let state_version = 2
+let state_version = 3
 
 let w_hist_payload b (count, sum, mn, mx) (bkts : int array) =
   Codec.w_int b count;
@@ -837,10 +683,6 @@ let save_state () =
   Codec.w_int b !logical;
   Codec.w_int b !next_req;
   Codec.w_int b !cur_req;
-  Codec.w_int b !sample_seed;
-  Codec.w_int b !sample_rate;
-  Codec.w_int b !w_width;
-  Codec.w_int b !w_slots;
   Codec.w_int b !w_epoch;
   let entries =
     Hashtbl.fold (fun name inst acc -> (name, inst) :: acc) registry []
@@ -860,7 +702,6 @@ let save_state () =
           Codec.w_int b 2;
           w_hist_payload b (h.h_count, h.h_sum, h.h_min, h.h_max) h.h_b)
     entries;
-  Codec.w_list b Codec.w_str (alert_rules ());
   Codec.w_list b w_snap !w_snaps;
   Buffer.contents b
 
@@ -872,10 +713,6 @@ let restore_state s =
   let logical' = Codec.r_int d in
   let next_req' = Codec.r_int d in
   let cur_req' = Codec.r_int d in
-  let seed' = Codec.r_int d in
-  let rate' = Codec.r_int d in
-  let width' = Codec.r_int d in
-  let slots' = Codec.r_int d in
   let epoch' = Codec.r_int d in
   let entries =
     Codec.r_list d (fun d ->
@@ -888,21 +725,9 @@ let restore_state s =
             invalid_arg
               (Printf.sprintf "Trace.restore_state: instrument kind %d" k))
   in
-  let alerts = Codec.r_list d Codec.r_str in
   let snaps = Codec.r_list d r_snap in
   (* decode succeeded in full; now mutate *)
-  Hashtbl.iter
-    (fun _ inst ->
-      match inst with
-      | Counter c -> c.c_v <- 0
-      | Gauge g -> g.g_v <- 0
-      | Histogram h ->
-          h.h_count <- 0;
-          h.h_sum <- 0;
-          h.h_min <- 0;
-          h.h_max <- 0;
-          Array.fill h.h_b 0 hist_buckets 0)
-    registry;
+  zero_registry ();
   List.iter
     (fun (name, payload) ->
       match payload with
@@ -916,26 +741,10 @@ let restore_state s =
           h.h_max <- mx;
           Array.blit bkts 0 h.h_b 0 hist_buckets)
     entries;
-  let cap = Array.length !ring in
-  Array.fill !ring 0 cap None;
-  ring_head := 0;
-  ring_len := 0;
-  ring_dropped := 0;
+  clear_ring ();
   depth := 0;
   logical := logical';
   next_req := next_req';
   cur_req := cur_req';
-  sample_seed := seed';
-  sample_rate := rate';
-  w_width := width';
-  w_slots := slots';
   w_epoch := epoch';
-  alert_table := [];
-  List.iter
-    (fun l ->
-      match install_alert l with
-      | Ok _ -> ()
-      | Error e ->
-          invalid_arg (Printf.sprintf "Trace.restore_state: alert %S: %s" l e))
-    alerts;
   w_snaps := snaps

@@ -14,7 +14,9 @@
     (find-or-create), and components that need per-instance views keep
     a base snapshot and report deltas.  The clock is logical — it
     advances by one microsecond per reading — so traces of a scripted
-    session are deterministic. *)
+    session are deterministic.  Nothing here is configurable: every
+    request is traced, the span ring holds 4096 spans, windows are 16
+    slots of 65536 us, and the alert table has four fixed rules. *)
 
 (** {1 Clock} *)
 
@@ -102,30 +104,15 @@ val metrics_text : unit -> string
 (** Current value of a registered counter or gauge by name. *)
 val find_value : string -> int option
 
-(** {1 Request context and head sampling}
+(** {1 Request context}
 
     The serving layer allocates a request id per RPC at scheduler
-    submit time and decides {e then} — head sampling — whether the
-    request's spans are recorded.  The verdict is a pure function of
-    [(seed, id)], so a same-seed rerun samples exactly the same
-    requests; ids restart from 1 at {!reset}, so scripted sessions
-    allocate identical ids on every run. *)
+    submit time and records every request's spans under it.  Ids
+    restart from 1 at {!reset}, so scripted sessions allocate
+    identical ids on every run. *)
 
 (** Allocate the next request id (1, 2, 3, ...). *)
 val request_id : unit -> int
-
-(** [sample id] is the deterministic head-sampling verdict for a
-    request id under the current [(seed, rate)]: rate 0 samples
-    nothing, rate 1 everything (the default — right for an interactive
-    session), rate [n] roughly one request in [n]. *)
-val sample : int -> bool
-
-(** Set the sampling seed and/or rate (rate is clamped to [>= 0]).
-    {!reset} restores seed 0, rate 1. *)
-val set_sampling : ?seed:int -> ?rate:int -> unit -> unit
-
-(** Current [(seed, rate)]. *)
-val sampling : unit -> int * int
 
 (** [with_request ~reqid name f] runs [f] inside a span as
     {!with_span}, additionally tagging every span recorded during [f]
@@ -155,12 +142,9 @@ val with_span_result :
 
 (** {1 The span ring}
 
-    Completed spans land in a bounded ring buffer; when it overflows,
-    the oldest spans are dropped and counted (also visible as the
-    [trace.spans.dropped] counter). *)
-
-val set_ring_capacity : int -> unit
-val ring_capacity : unit -> int
+    Completed spans land in a ring buffer of 4096 spans; when it
+    overflows, the oldest spans are dropped and counted (also visible
+    as the [trace.spans.dropped] counter). *)
 
 (** Number of spans currently buffered. *)
 val pending_spans : unit -> int
@@ -183,7 +167,7 @@ val requests : unit -> int list
 (** All buffered spans tagged with the request id, sorted into preorder
     (by start time, parents before children) and rendered as
     {!spans_text}; [None] when no buffered span carries the id (never
-    sampled, or already evicted or drained).  This is the content of
+    allocated, or already evicted or drained).  This is the content of
     [/mnt/help/trace/<reqid>]. *)
 val request_text : int -> string option
 
@@ -196,23 +180,14 @@ val spans_text : ?dropped:int -> span list -> string
 
 (** {1 Rolling windows}
 
-    Logical time is divided into fixed-width epochs; the first reading past a boundary snapshots the whole
-    registry, and a bounded ring of recent snapshots turns any counter
-    into a per-slot rate and any histogram into per-slot quantiles by
-    differencing consecutive snapshots.  Windows are pure views over
-    the registry: nothing is double-counted, and an idle period simply
-    produces no snapshots.  Snapshot count is bounded by the slot
-    count; a clock jump past the whole window expires every old slot
-    (counted on [trace.window.rolls] as boundary crossings). *)
-
-(** Set the slot width in microseconds and/or the number of retained
-    slots (both clamped to [>= 1]), and restart the window from the
-    current clock reading.  {!reset} restores the defaults (65536 us,
-    16 slots). *)
-val window_configure : ?width:int -> ?slots:int -> unit -> unit
-
-val window_width : unit -> int
-val window_slots : unit -> int
+    Logical time is divided into slots of 65536 us; the first reading
+    past a boundary snapshots the whole registry, and the 16 most
+    recent snapshots turn any counter into a per-slot rate and any
+    histogram into per-slot quantiles by differencing consecutive
+    snapshots.  Windows are pure views over the registry: nothing is
+    double-counted, and an idle period simply produces no snapshots.  A
+    clock jump past the whole window expires every old slot (counted on
+    [trace.window.rolls] as boundary crossings). *)
 
 (** Per-slot deltas of a counter or gauge, oldest first, as
     [(slot, delta)] where [slot * width] is the slot's start time.
@@ -227,45 +202,25 @@ val window_quantiles : string -> (int * int * int * int * int) list
 
 (** {1 Alerts}
 
-    A small threshold-watch table over the ledger, evaluated only when
-    read.  A rule is one line:
+    A fixed threshold-watch table over the ledger, evaluated only when
+    read.  Four rules watch p99 RPC latency ([p99(nine.rpc.us)]),
+    backpressure stalls, span drops and index thrash
+    ([rate(...)] of [nine.backpressure.stalls], [trace.spans.dropped]
+    and [index.stale.reindexed]).  [rate] is the last closed window
+    slot's delta; [p99] the histogram percentile over the last closed
+    slot, whole-run before one closes.  A rule fires when its source
+    exceeds its threshold. *)
 
-    {v name: source op threshold v}
-
-    where [source] is [value(metric)] (current counter/gauge value),
-    [rate(metric)] (last closed window slot's delta), or [pNN(metric)]
-    (histogram percentile over the last closed slot, whole-run before
-    one closes), and [op] is [>], [>=], [<] or [<=].  The rendered
-    table is the content of [/mnt/help/alerts]. *)
-
-type alert
-
-(** Parse one rule line; [Error] carries a human-readable reason. *)
-val parse_alert : string -> (alert, string) result
-
-(** Parse a rule line and install it, replacing any rule with the same
-    name. *)
-val install_alert : string -> (alert, string) result
-
-(** The installed rules rendered back to their line form, in table
-    order — each line round-trips through {!parse_alert}. *)
-val alert_rules : unit -> string list
-
-(** One line per rule: [name ok|firing current source op threshold],
+(** One line per rule: [name ok|firing current source > threshold],
     preceded by a [#] header line.  This is the content of
     [/mnt/help/alerts]. *)
 val alerts_text : unit -> string
 
-(** Install the rules [Session.boot] starts with: p99 RPC latency,
-    backpressure stalls, journal drops, span drops and index thrash. *)
-val install_default_alerts : unit -> unit
-
 (** {1 Reset}
 
     Zero every registered instrument, empty the ring, restart the
-    logical clock and the request-id allocator, restore default
-    sampling (seed 0, rate 1) and window geometry, clear the alert
-    table, and re-seed the window baseline snapshot.  Registrations
+    logical clock and the request-id allocator, and re-seed the window
+    baseline snapshot.  Registrations
     survive (handles held by modules stay valid).  [Session.boot]
     resets so each session starts a fresh ledger. *)
 val reset : unit -> unit
@@ -274,8 +229,8 @@ val reset : unit -> unit
 
     Crash recovery restores the ledger of the crashed session so the
     recovered one continues it exactly: clock position, request-id
-    allocator, sampling, window geometry/epoch, every instrument's
-    value, the alert table, and the retained window snapshots.  The
+    allocator, window epoch, every instrument's value, and the retained
+    window snapshots.  The
     span ring is deliberately not captured — recovery restarts with an
     empty ring. *)
 

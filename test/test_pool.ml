@@ -156,13 +156,20 @@ let isolation_property =
 (* ------------------------------------------------------------------ *)
 (* Fairness and determinism                                            *)
 
+(* Collect the pool's dispatch journal through its sink; the returned
+   function reads it back, oldest first. *)
+let collect_journal pool =
+  let entries = ref [] in
+  Nine.Pool.set_journal_sink pool (Some (fun e -> entries := e :: !entries));
+  fun () -> List.rev !entries
+
 let script_runs seed =
   (* three faulted clients over one pool; returns (journal, per-conn
      transcripts, final file contents) *)
   Trace.reset ();
   let ns = Vfs.create () in
   let pool = Nine.Pool.create (Vfs.ramfs ns) in
-  Nine.Pool.record_journal pool true;
+  let journal = collect_journal pool in
   let config = { Fault.default with seed; rate = 0.1 } in
   let mk i =
     let conn = Nine.Pool.attach ~uname:(Printf.sprintf "client%d" i) pool in
@@ -184,8 +191,7 @@ let script_runs seed =
         Vfs.read_file scratch path)
       clients
   in
-  let journal = Nine.Pool.journal pool in
-  (journal, transcripts, Nine.Pool.stats pool)
+  (journal (), transcripts, Nine.Pool.stats pool)
 
 let fairness_tests =
   [
@@ -339,8 +345,8 @@ let session_tests =
 (* ------------------------------------------------------------------ *)
 (* The cooperative scheduler: bounded queues, backpressure, batching   *)
 
-(* A hostile client floods [k] requests through a deliberately tiny
-   ring (max_queue 16, batch_limit 4).  Three invariants, whatever [k]:
+(* A hostile client floods [k] requests through its ring (128 deep,
+   served 8 at a time).  Three invariants, whatever [k]:
    the hostile queue never exceeds its bound (submission blocks and
    turns the scheduler instead), a polite client's lone request is
    still served within one ring turn, and every flooded request
@@ -348,10 +354,10 @@ let session_tests =
 let backpressure_property =
   QCheck.Test.make ~count:30
     ~name:"a flooding client is bounded and cannot starve others"
-    (QCheck.make QCheck.Gen.(int_range 0 200))
+    (QCheck.make QCheck.Gen.(int_range 0 400))
     (fun k ->
       let ns = Vfs.create () in
-      let pool = Nine.Pool.create ~max_queue:16 ~batch_limit:4 (Vfs.ramfs ns) in
+      let pool = Nine.Pool.create (Vfs.ramfs ns) in
       let hostile = Nine.Pool.attach ~uname:"hostile" pool in
       let polite = Nine.Pool.attach ~uname:"polite" pool in
       List.iter
@@ -364,7 +370,7 @@ let backpressure_property =
       let tickets =
         List.init k (fun i ->
             let t = Nine.Pool.submit hostile (stat_root ~tag:(20 + i)) in
-            if Nine.Pool.queue_length hostile > 16 then bound := false;
+            if Nine.Pool.queue_length hostile > 128 then bound := false;
             t)
       in
       let tq = Nine.Pool.submit polite (stat_root ~tag:20) in
@@ -386,7 +392,7 @@ let backpressure_property =
       in
       ignore ns;
       !bound && polite_served && all_settled
-      && (k <= 16 || counter_value "nine.backpressure.stalls" > stalls0))
+      && (k <= 128 || counter_value "nine.backpressure.stalls" > stalls0))
 
 (* one deterministic mixed-batch run: two clients feed coalesced wire
    buffers whose sizes are derived from [seed]; returns everything a
@@ -395,7 +401,7 @@ let batch_run seed =
   Trace.reset ();
   let ns = Vfs.create () in
   let pool = Nine.Pool.create (Vfs.ramfs ns) in
-  Nine.Pool.record_journal pool true;
+  let journal = collect_journal pool in
   let a = Nine.Pool.attach ~uname:"a" pool in
   let b = Nine.Pool.attach ~uname:"b" pool in
   List.iter
@@ -432,7 +438,7 @@ let batch_run seed =
       !tickets
   in
   ignore ns;
-  ( Nine.Pool.journal pool,
+  ( journal (),
     Trace.histogram_stats (Trace.histogram "nine.batch.size"),
     replies )
 

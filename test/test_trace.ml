@@ -49,22 +49,19 @@ let registry_basics () =
 
 let ring_truncation () =
   Trace.reset ();
-  let old = Trace.ring_capacity () in
-  Trace.set_ring_capacity 8;
-  for i = 1 to 20 do
+  for i = 1 to 4096 + 12 do
     Trace.with_span "tick" (fun () -> ignore i)
   done;
-  check_int "ring holds only the capacity" 8 (Trace.pending_spans ());
+  check_int "ring holds only the capacity" 4096 (Trace.pending_spans ());
   let spans, dropped = Trace.drain () in
-  check_int "newest spans survive" 8 (List.length spans);
+  check_int "newest spans survive" 4096 (List.length spans);
   check_int "overflow is counted" 12 dropped;
   check_bool "cumulative dropped counter" true
     (Trace.find_value "trace.spans.dropped" = Some 12);
   check_int "drain empties the ring" 0 (Trace.pending_spans ());
   let text = Trace.spans_text ~dropped spans in
   check_bool "the text export marks the truncation" true
-    (contains text "# 12 spans dropped");
-  Trace.set_ring_capacity old
+    (contains text "# 12 spans dropped")
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: the same scripted session yields the same span log. *)
@@ -195,15 +192,16 @@ let percentile_edges () =
 (* ------------------------------------------------------------------ *)
 (* Rolling windows: rotation, per-slot deltas, expiry on clock jumps *)
 
+let slot = 65536
+
 let window_rotation () =
   Trace.reset ();
-  Trace.window_configure ~width:100 ~slots:4 ();
   let c = Trace.counter "test.win.c" in
   let h = Trace.histogram "test.win.h" in
   check_bool "no slot closed yet" true (Trace.window_series "test.win.c" = []);
   Trace.incr ~by:5 c;
   Trace.observe h 10;
-  Trace.advance 120;
+  Trace.advance slot;
   check_bool "first slot closes on the boundary crossing" true
     (Trace.window_series "test.win.c" = [ (0, 5) ]);
   (match Trace.window_quantiles "test.win.h" with
@@ -212,15 +210,15 @@ let window_rotation () =
         (p50 >= 10 && p50 <= 12 && p95 = p50 && p99 = p50)
   | _ -> Alcotest.fail "expected exactly one quantile slot");
   Trace.incr ~by:2 c;
-  Trace.advance 100;
+  Trace.advance slot;
   check_bool "second slot carries only its own delta" true
     (Trace.window_series "test.win.c" = [ (0, 5); (1, 2) ]);
   (* a jump larger than the whole window expires every open slot *)
-  Trace.advance 10_000;
+  Trace.advance (20 * slot);
   check_bool "all slots expired after the jump" true
     (Trace.window_series "test.win.c" = []);
   Trace.incr ~by:3 c;
-  Trace.advance 100;
+  Trace.advance slot;
   (match Trace.window_series "test.win.c" with
   | [ (_, 3) ] -> ()
   | _ -> Alcotest.fail "the window restarts cleanly after the jump");
@@ -228,7 +226,7 @@ let window_rotation () =
   let rolls0 =
     Option.value ~default:0 (Trace.find_value "trace.window.rolls")
   in
-  for _ = 1 to 250 do
+  for _ = 1 to slot do
     ignore (Trace.now_us ())
   done;
   let rolls1 =
@@ -238,81 +236,75 @@ let window_rotation () =
   Trace.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* Head sampling: deterministic, seed- and rate-sensitive *)
-
-let sampler_determinism () =
-  Trace.reset ();
-  let verdicts seed rate =
-    Trace.set_sampling ~seed ~rate ();
-    List.init 1000 (fun i -> Trace.sample (i + 1))
-  in
-  let a = verdicts 3 16 in
-  check_bool "same seed, same verdicts" true (verdicts 3 16 = a);
-  let hits l = List.length (List.filter Fun.id l) in
-  let n = hits a in
-  check_bool "roughly one in sixteen" true (n > 20 && n < 140);
-  check_bool "a different seed samples a different set" true
-    (verdicts 4 16 <> a);
-  Trace.set_sampling ~rate:0 ();
-  check_bool "rate 0 drops everything" false (Trace.sample 5);
-  Trace.set_sampling ~rate:1 ();
-  check_bool "rate 1 keeps everything" true (Trace.sample 5);
-  Trace.reset ()
-
-(* ------------------------------------------------------------------ *)
-(* Reset clears the new observability state (windows, sampler, alerts) *)
+(* Reset clears the windows and the request-id allocator *)
 
 let reset_clears_observability () =
   Trace.reset ();
-  Trace.set_sampling ~seed:9 ~rate:64 ();
-  Trace.window_configure ~width:128 ~slots:4 ();
-  (match Trace.install_alert "t: value(test.ctr) > 0" with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
+  Trace.incr (Trace.counter "test.reset.c");
   ignore (Trace.request_id ());
-  Trace.advance 1000;
-  check_bool "state is set before the reset" true
-    (Trace.sampling () = (9, 64) && Trace.alert_rules () <> []);
+  Trace.advance (2 * slot);
+  check_bool "a window slot is closed before the reset" true
+    (Trace.window_series "test.reset.c" <> []);
   Trace.reset ();
-  check_bool "sampling back to defaults" true (Trace.sampling () = (0, 1));
-  check_int "window width restored" 65536 (Trace.window_width ());
-  check_int "window slots restored" 16 (Trace.window_slots ());
-  check_bool "alert table cleared" true (Trace.alert_rules () = []);
   check_bool "window slots cleared" true
-    (Trace.window_series "nine.rpc.read" = []);
+    (Trace.window_series "test.reset.c" = []);
   check_int "request ids restart" 1 (Trace.request_id ());
   Trace.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* Alert table: parsing, round-tripping, evaluation *)
+(* Alert table: the fixed rules, evaluated over the windows *)
+
+(* the rule lines of an alerts rendering, without its header *)
+let verdict_lines text =
+  List.filter
+    (fun l -> l <> "" && l.[0] <> '#')
+    (String.split_on_char '\n' text)
 
 let alert_table () =
   Trace.reset ();
-  let ok l = match Trace.parse_alert l with Ok _ -> true | Error _ -> false in
-  check_bool "value rule parses" true (ok "a: value(x.y) > 3");
-  check_bool "rate rule parses" true (ok "a: rate(x.y) <= 3");
-  check_bool "percentile rule parses" true (ok "a: p99(x.y) >= 10");
-  check_bool "missing colon rejected" false (ok "a value(x) > 3");
-  check_bool "unknown op rejected" false (ok "a: value(x) ~ 3");
-  check_bool "bad threshold rejected" false (ok "a: value(x) > lots");
-  check_bool "bad percentile rejected" false (ok "a: p200(x) > 3");
-  check_bool "unknown source rejected" false (ok "a: max(x) > 3");
-  Trace.install_default_alerts ();
-  List.iter
-    (fun l -> check_bool ("rendered rule round-trips: " ^ l) true (ok l))
-    (Trace.alert_rules ());
-  let c = Trace.counter "test.alert.c" in
-  Trace.incr ~by:5 c;
-  ignore (Trace.install_alert "watch: value(test.alert.c) > 3");
-  check_bool "a crossed threshold fires" true
-    (contains (Trace.alerts_text ()) "watch firing 5");
-  ignore (Trace.install_alert "watch: value(test.alert.c) > 9");
-  check_bool "same-name install replaces the rule" true
-    (contains (Trace.alerts_text ()) "watch ok 5");
+  check_bool "the header names the window" true
+    (contains (Trace.alerts_text ()) "# 4 rules, window 65536us x 16 slots\n");
+  let verdicts = verdict_lines (Trace.alerts_text ()) in
+  check_int "one verdict line per rule" 4 (List.length verdicts);
+  check_bool "a quiet ledger fires nothing" true
+    (List.for_all (fun l -> contains l " ok ") verdicts);
+  (* a percentile reads the whole run before any slot closes *)
+  Trace.observe (Trace.histogram "nine.rpc.us") 200_000;
+  check_bool "p99 fires before any slot closes" true
+    (contains (Trace.alerts_text ())
+       "rpc-p99 firing 200000 p99(nine.rpc.us) > 100000\n");
+  (* a rate reads the last closed slot only *)
+  let stall verdict v =
+    Printf.sprintf "backpressure %s %d rate(nine.backpressure.stalls) > 1000\n"
+      verdict v
+  in
+  Trace.incr ~by:1001 (Trace.counter "nine.backpressure.stalls");
+  check_bool "a rate waits for its slot to close" true
+    (contains (Trace.alerts_text ()) (stall "ok" 0));
+  Trace.advance slot;
+  check_bool "the closed slot fires" true
+    (contains (Trace.alerts_text ()) (stall "firing" 1001));
+  Trace.advance slot;
+  check_bool "the next quiet slot clears it" true
+    (contains (Trace.alerts_text ()) (stall "ok" 0));
   Trace.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus exposition: families, buckets, per-window summaries *)
+
+(* well-formedness: every line is a comment or `name[{labels}] value`
+   with an integer value *)
+let check_well_formed m =
+  List.iter
+    (fun line ->
+      if line <> "" && line.[0] <> '#' then
+        match String.rindex_opt line ' ' with
+        | Some i ->
+            let v = String.sub line (i + 1) (String.length line - i - 1) in
+            check_bool ("sample line parses: " ^ line) true
+              (int_of_string_opt v <> None)
+        | None -> Alcotest.fail ("not a sample line: " ^ line))
+    (String.split_on_char '\n' m)
 
 let exposition_format () =
   Trace.reset ();
@@ -330,18 +322,7 @@ let exposition_format () =
     (contains m "test_exp_h_sum 14" && contains m "test_exp_h_count 2");
   check_bool "window summary family" true
     (contains m "test_exp_h_window{quantile=\"0.99\"}");
-  (* well-formedness: every line is a comment or `name[{labels}] value`
-     with an integer value *)
-  List.iter
-    (fun line ->
-      if line <> "" && line.[0] <> '#' then
-        match String.rindex_opt line ' ' with
-        | Some i ->
-            let v = String.sub line (i + 1) (String.length line - i - 1) in
-            check_bool ("sample line parses: " ^ line) true
-              (int_of_string_opt v <> None)
-        | None -> Alcotest.fail ("not a sample line: " ^ line))
-    (String.split_on_char '\n' m);
+  check_well_formed m;
   Trace.reset ()
 
 (* ------------------------------------------------------------------ *)
@@ -369,7 +350,6 @@ let deterministic_metrics () =
 let request_trees_over_the_mount () =
   let t = Session.boot () in
   ignore (Rc.run t.Session.sh "cat /mnt/help/index");
-  (* boot leaves sampling at rate 1: every request is tagged *)
   let ids = Trace.requests () in
   check_bool "requests are buffered" true (ids <> []);
   let id = List.nth ids (List.length ids - 1) in
@@ -387,28 +367,45 @@ let request_trees_over_the_mount () =
   check_bool "peek does not drain" true (Trace.pending_spans () >= p0);
   check_bool "peek shows the spans" true (contains l.Rc.r_out "rpc.")
 
-(* The scheduler counts every sampling verdict. *)
+(* The observability files after the figure replay: the exposition is
+   well-formed with its latency and window families, the alert table
+   serves a verdict per rule, and trace/last peeks while trace
+   drains. *)
 
-let sampling_counters () =
-  Trace.reset ();
-  Trace.set_sampling ~seed:1 ~rate:4 ();
-  let ns = Vfs.create () in
-  ignore (Nine.serve_mount ns "/mnt/nine" (Vfs.ramfs ns));
-  Vfs.write_file ns "/mnt/nine/f" "x";
-  for _ = 1 to 20 do
-    ignore (Vfs.read_file ns "/mnt/nine/f")
-  done;
-  let v k = Option.value ~default:0 (Trace.find_value k) in
-  let sampled = v "nine.trace.sampled" and dropped = v "nine.trace.dropped" in
-  check_bool "verdicts were counted" true (sampled > 0 && dropped > 0);
-  check_bool "every request got a verdict" true
-    (sampled + dropped > 20);
-  (* only sampled requests leave tagged spans *)
-  let tagged = Trace.requests () in
-  check_bool "some requests were traced" true (tagged <> []);
-  check_bool "fewer trees than requests" true
-    (List.length tagged < sampled + dropped);
-  Trace.reset ()
+let observability_after_replay () =
+  let sh = (Demo.run ~keep_screens:false ()).Demo.session.Session.sh in
+  let cat file =
+    let r = Rc.run sh ("cat /mnt/help/" ^ file) in
+    check_int ("cat " ^ file ^ " succeeds") 0 r.Rc.r_status;
+    r.Rc.r_out
+  in
+  let metrics = cat "metrics" in
+  check_well_formed metrics;
+  List.iter
+    (fun family ->
+      check_bool ("metrics exposes " ^ family) true (contains metrics family))
+    [
+      "nine_rpc_us_bucket{le=";
+      "nine_rpc_us_window{quantile=\"0.99\"}";
+      "trace_window_rolls_total";
+    ];
+  let verdicts = verdict_lines (cat "alerts") in
+  check_int "alerts serves one line per rule" 4 (List.length verdicts);
+  check_bool "every alert line carries a verdict" true
+    (List.for_all
+       (fun l -> contains l " ok " || contains l " firing ")
+       verdicts);
+  (* a marker span planted now survives two peeks, appears in the
+     drain, and is then gone *)
+  Trace.with_span "obs.marker" (fun () -> ());
+  let peek1 = cat "trace/last" in
+  let peek2 = cat "trace/last" in
+  check_bool "trace/last peeks without draining" true
+    (contains peek1 "obs.marker" && contains peek2 "obs.marker");
+  check_bool "cat trace drains the marker" true
+    (contains (cat "trace") "obs.marker");
+  check_bool "the drain drained" false
+    (contains (cat "trace/last") "obs.marker")
 
 let () =
   Alcotest.run "trace"
@@ -424,16 +421,10 @@ let () =
           Alcotest.test_case "rotation, deltas, expiry on jumps" `Quick
             window_rotation;
         ] );
-      ( "sampling",
-        [
-          Alcotest.test_case "deterministic seeded head sampling" `Quick
-            sampler_determinism;
-          Alcotest.test_case "the scheduler counts every verdict" `Quick
-            sampling_counters;
-        ] );
       ( "alerts",
         [
-          Alcotest.test_case "parse, round-trip, evaluate" `Quick alert_table;
+          Alcotest.test_case "p99 and rate rules fire and clear" `Quick
+            alert_table;
         ] );
       ( "exposition",
         [
@@ -442,7 +433,7 @@ let () =
         ] );
       ( "reset",
         [
-          Alcotest.test_case "clears windows, sampler and alerts" `Quick
+          Alcotest.test_case "clears windows and request ids" `Quick
             reset_clears_observability;
         ] );
       ( "spans",
@@ -464,6 +455,8 @@ let () =
             `Quick deterministic_metrics;
           Alcotest.test_case "request trees and trace/last over the mount"
             `Quick request_trees_over_the_mount;
+          Alcotest.test_case "metrics, alerts and trace/last after the replay"
+            `Quick observability_after_replay;
         ] );
       ( "nine",
         [
