@@ -145,8 +145,6 @@ let shell t = t.sh
 let auto_expansions t = t.auto_count
 let width t = t.w
 let height t = t.h
-let set_place t s = t.place <- s
-let place_strategy t = t.place
 let on_gesture t f = t.gesture_hook <- f
 let on_event t f = t.event_hook <- f
 let on_exec t f = t.exec_hook <- f
@@ -605,7 +603,7 @@ let run_external t win cmd =
 
 (* The capitalized command words [execute] handles itself rather than
    handing to the shell — the dispatch below must cover exactly this
-   list (doc-lint holds doc/help.1.md to it too). *)
+   list (test_guide holds doc/help.1.md to it too). *)
 let builtins =
   [
     "Open"; "Cut"; "Paste"; "Snarf"; "New"; "Exit"; "Undo"; "Redo"; "Write";

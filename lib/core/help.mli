@@ -39,9 +39,6 @@ val shell : t -> Rc.t
 val width : t -> int
 val height : t -> int
 
-val set_place : t -> Hplace.strategy -> unit
-val place_strategy : t -> Hplace.strategy
-
 (** Metrics hook, called once per user gesture. *)
 val on_gesture : t -> (gesture -> unit) -> unit
 

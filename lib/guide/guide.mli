@@ -50,7 +50,7 @@ type page = {
 val parse : file:string -> string -> page
 
 (** The embedded sources, [(file, content)] — what the build compiled
-    in; doc-lint compares these byte-for-byte against [doc/]. *)
+    in; test_guide compares these byte-for-byte against [doc/]. *)
 val sources : (string * string) list
 
 (** Every embedded page, parsed (under a [guide.parse] span) and

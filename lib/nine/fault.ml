@@ -8,8 +8,8 @@
    or substitutes an [Rerror] under a stale tag.  Because the server has
    already executed, a fault only ever loses or mangles an
    acknowledgement; retrying the idempotent kinds therefore converges to
-   the same state as a fault-free run, which is exactly the property the
-   fault-smoke gate checks.
+   the same state as a fault-free run, which is exactly the property
+   test_session checks on the figure replay under faults.
 
    Faults are restricted to the kinds in [config.kinds] (by default the
    client's retryable set minus flush), so non-idempotent writes are

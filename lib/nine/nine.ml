@@ -659,7 +659,6 @@ module Client = struct
     mutable next_tag : int;
     mutable next_fid : int;
     mutable msize : int;  (* negotiated at version; bounds every frame *)
-    max_retries : int;
     mutable read_buf : Buffer.t option;  (* reusable read-assembly scratch *)
   }
 
@@ -692,9 +691,13 @@ module Client = struct
   let flush_sent = Trace.counter "nine.flush.sent"
 
   (* Logical microseconds: a reply later than [timeout_us] counts as
-     lost, and the n-th retry waits [backoff_us lsl n]. *)
+     lost, and the n-th retry waits [backoff_us lsl n].  [max_retries]
+     bounds the retries of one request; it is sized for the 10-30%
+     fault schedules, under which a run of four consecutive faulted
+     replies is reachable in a long session. *)
   let timeout_us = 50_000
   let backoff_us = 1_000
+  let max_retries = 8
 
   (* Tags cycle through 0..0xfffe; 0xffff is NOTAG, reserved by 9P. *)
   let fresh_tag c =
@@ -752,7 +755,7 @@ module Client = struct
              tag mismatch the exchange did complete, there is nothing
              left server-side to cancel *)
           if timed_out then send_flush c tag;
-          if retryable msg && n < c.max_retries then begin
+          if retryable msg && n < max_retries then begin
             (match List.assoc_opt kind retry_counters with
             | Some ctr -> Trace.incr ctr
             | None -> ());
@@ -775,10 +778,10 @@ module Client = struct
 
   let root_fid = 0
 
-  let connect ?(max_retries = 3) ?(uname = "help") transport =
+  let connect ?(uname = "help") transport =
     let c =
       { transport; uname; next_tag = 1; next_fid = 1; msize = 65536;
-        max_retries; read_buf = Some (Buffer.create 8192) }
+        read_buf = Some (Buffer.create 8192) }
     in
     (match rpc c (Tversion { msize = c.msize; version = "9P2000.help" }) with
     | Rversion { msize; _ } ->
@@ -963,7 +966,7 @@ module Client = struct
     { Vfs.fs_stat; fs_open; fs_create; fs_remove; fs_readdir }
 end
 
-let serve_mount ?wrap ?max_retries ?(uname = "help") ns path fs =
+let serve_mount ?wrap ?(uname = "help") ns path fs =
   let pool = Pool.create fs in
   let conn = Pool.attach ~uname pool in
   let transport =
@@ -973,6 +976,6 @@ let serve_mount ?wrap ?max_retries ?(uname = "help") ns path fs =
   in
   (* connect before mounting: if version/attach cannot be completed the
      exception propagates with the namespace untouched *)
-  let client = Client.connect ?max_retries ~uname transport in
+  let client = Client.connect ~uname transport in
   Vfs.mount ns path (Client.filesystem client);
   pool

@@ -230,7 +230,7 @@ module Client : sig
 
       Requests whose replies are lost, late, corrupt, or tagged wrong
       are retried when idempotent (version/attach/walk/stat/read/clunk)
-      up to [max_retries] times with exponential backoff (1 ms of
+      up to 8 times with exponential backoff (1 ms of
       logical time, doubling per attempt) on the deterministic trace
       clock; each retry increments [nine.retry.<kind>].  A reply
       arriving more than 50 ms of logical time after such a request was
@@ -245,7 +245,7 @@ module Client : sig
       servers record it per connection for stats.
 
       @raise Bad_message if version/attach negotiation itself fails. *)
-  val connect : ?max_retries:int -> ?uname:string -> (string -> string) -> t
+  val connect : ?uname:string -> (string -> string) -> t
 
   (** View the remote tree as a local {!Vfs.filesystem}: each operation
       becomes walk/open/read/write/clunk round-trips.  Reads and writes
@@ -261,12 +261,10 @@ end
     [?wrap] interposes on the transport (e.g. {!Fault.wrap}); the
     client connects {e before} the mount, so a transport that cannot
     complete version/attach raises with the namespace untouched.
-    [?max_retries] sets the client's retry budget — raise it alongside
-    an aggressive fault schedule.  [?uname] (default "help") labels the
-    mount's own connection in per-connection stats. *)
+    [?uname] (default "help") labels the mount's own connection in
+    per-connection stats. *)
 val serve_mount :
   ?wrap:((string -> string) -> string -> string) ->
-  ?max_retries:int ->
   ?uname:string ->
   Vfs.t ->
   string ->

@@ -209,15 +209,11 @@ let wire ?w ?h ?place ~remote ?fault () =
   Vfs.write_file ns "/help/shell/run" shell_run_script;
   let help = Help.create ?w ?h ?place ns sh in
   let metrics = Metrics.attach help in
-  (* under fault injection, give the client a deeper retry budget: at a
-     10-30% fault rate a run of max_retries+1 consecutive faulted
-     replies is otherwise reachable in a long session *)
-  let max_retries = Option.map (fun _ -> 8) fault in
   (* the WAL attachment is created after the mount, so the server gets a
      cell it can read later: /mnt/help/wal appears once one exists *)
   let wal_ref = ref None in
   let pool =
-    Help_srv.mount ?wrap:(Option.map Fault.wrap fault) ?max_retries
+    Help_srv.mount ?wrap:(Option.map Fault.wrap fault)
       ~wal:(fun () -> !wal_ref)
       help
   in
@@ -288,14 +284,14 @@ let boot ?w ?h ?place ?(remote = false) ?fault ?wal:wal_store
    a simulated external program can drive help with whole-file
    operations.  All its RPCs interleave with the session's own through
    the pool's round-robin. *)
-let attach_client ?wrap ?max_retries ?(uname = "client") t =
+let attach_client ?wrap ?(uname = "client") t =
   let conn = Nine.Pool.attach ~uname t.pool in
   let transport =
     match wrap with
     | Some w -> w (Nine.Pool.transport conn)
     | None -> Nine.Pool.transport conn
   in
-  let client = Nine.Client.connect ?max_retries ~uname transport in
+  let client = Nine.Client.connect ~uname transport in
   (conn, Nine.Client.filesystem client)
 
 (* ------------------------------------------------------------------ *)

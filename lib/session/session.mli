@@ -119,12 +119,10 @@ val apply : t -> Wal.op -> unit
     — and returns it with a {!Vfs.filesystem} view, so a simulated
     external program can read and write windows concurrently with the
     session.  [?wrap] interposes a fault schedule on just this client's
-    transport; [?max_retries] is its retry budget.  Use
-    [Nine.Pool.disconnect] on the returned connection to release its
-    fids when done. *)
+    transport.  Use [Nine.Pool.disconnect] on the returned connection
+    to release its fids when done. *)
 val attach_client :
   ?wrap:((string -> string) -> string -> string) ->
-  ?max_retries:int ->
   ?uname:string ->
   t ->
   Nine.Pool.conn * Vfs.filesystem

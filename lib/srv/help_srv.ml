@@ -510,11 +510,10 @@ let install_glue sh =
   Rc.register sh "/bin/help/parse" parse_native;
   Rc.register sh "/bin/help/buf" buf_native
 
-let mount ?wrap ?max_retries ?wal help =
+let mount ?wrap ?wal help =
   let fs = filesystem ?wal help in
   let pool =
-    Nine.serve_mount ?wrap ?max_retries ~uname:"help" (Help.ns help)
-      "/mnt/help" fs
+    Nine.serve_mount ?wrap ~uname:"help" (Help.ns help) "/mnt/help" fs
   in
   install_glue (Help.shell help);
   pool

@@ -54,14 +54,12 @@
     and for statistics.  [?wrap] interposes on the transport (e.g.
     [Fault.wrap] for fault injection); if the wrapped transport cannot
     complete version/attach, the exception propagates and nothing is
-    mounted.  [?max_retries] is the client's retry budget (see
-    [Nine.serve_mount]).  [?wal] supplies the session's write-ahead log
+    mounted.  [?wal] supplies the session's write-ahead log
     attachment; it is a thunk because the attachment is created after
     the mount — the tree reads it on every access, so [wal/] appears as
     soon as one exists. *)
 val mount :
   ?wrap:((string -> string) -> string -> string) ->
-  ?max_retries:int ->
   ?wal:(unit -> Wal.t option) ->
   Help.t ->
   Nine.Pool.t

@@ -27,7 +27,6 @@ let m_snapshots = Trace.counter "wal.snapshots"
 let m_chunks_new = Trace.counter "wal.chunks.new"
 let m_chunks_shared = Trace.counter "wal.chunks.shared"
 let m_journal = Trace.counter "wal.journal.entries"
-let h_recover = Trace.histogram "wal.recover.us"
 
 (* ---- op serialization ------------------------------------------- *)
 
@@ -220,7 +219,6 @@ type t = {
   mutable snap_keys : string list;
   mutable last_ops : int;
   mutable last_torn : int;
-  mutable last_us : int;
 }
 
 let attach ?(checkpoint_every = 0) ~recording st =
@@ -236,7 +234,6 @@ let attach ?(checkpoint_every = 0) ~recording st =
     snap_keys = [];
     last_ops = 0;
     last_torn = 0;
-    last_us = 0;
   }
 
 let store t = t.st
@@ -364,10 +361,6 @@ let note_recovery t ~ops ~torn =
   t.last_ops <- ops;
   t.last_torn <- torn
 
-let set_recovery_us t us =
-  t.last_us <- us;
-  Trace.observe h_recover us
-
 (* ---- journal sidecar -------------------------------------------- *)
 
 let journal_entry t (clock, conn, kind) =
@@ -429,5 +422,4 @@ let stats_text t =
       line "wal.snapshot.last.bytes.new" sn.sn_new_bytes);
   line "wal.recover.last.ops" t.last_ops;
   line "wal.recover.last.torn" t.last_torn;
-  line "wal.recover.last.us" t.last_us;
   Buffer.contents b

@@ -33,8 +33,7 @@
     before the sink persisted it, and recovery must not paper over it.
 
     Counters: [wal.records], [wal.bytes], [wal.snapshots],
-    [wal.chunks.new], [wal.chunks.shared], [wal.journal.entries];
-    histogram [wal.recover.us]. *)
+    [wal.chunks.new], [wal.chunks.shared], [wal.journal.entries]. *)
 
 exception Corrupt of string
 
@@ -176,13 +175,6 @@ val prime : t -> snapshot -> unit
 val note_recovery : t -> ops:int -> torn:int -> unit
 (** Record per-attachment recovery statistics ([ops] replayed, [torn]
     truncated tail frames) for {!stats_text}. *)
-
-val set_recovery_us : t -> int -> unit
-(** Record the measured recovery latency and observe it on the
-    [wal.recover.us] histogram.  Benchmarks call this only after
-    capturing any state they compare byte-for-byte, since the
-    histogram observation is recovery-only and has no counterpart in
-    an uninterrupted run. *)
 
 (** {1 Journal sidecar} *)
 

@@ -651,10 +651,6 @@ let event_tests =
         check_bool "Put! token" true (contains (Hwin.tag_text w) "Put!");
         Help.execute help w "Put!";
         check_bool "clean" false (Hwin.dirty w));
-    Alcotest.test_case "placement strategy is configurable" `Quick (fun () ->
-        let help = fresh () in
-        Help.set_place help Hplace.Naive_top;
-        Alcotest.(check bool) "recorded" true (Help.place_strategy help = Hplace.Naive_top));
   ]
 
 (* property: random column operations keep the stacking invariants *)

@@ -343,8 +343,7 @@ let faulty_run config =
   Trace.reset ();
   let ns = Vfs.create () in
   let pool =
-    Nine.serve_mount ~wrap:(Fault.wrap config) ~max_retries:8 ns "/m"
-      (Vfs.ramfs ns)
+    Nine.serve_mount ~wrap:(Fault.wrap config) ns "/m" (Vfs.ramfs ns)
   in
   Vfs.write_file ns "/m/f" "the quick brown fox\n";
   Vfs.mkdir_p ns "/m/d";

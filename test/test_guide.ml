@@ -1,5 +1,6 @@
 (* The guide: man pages parsed into a clickable model, rendered as
-   windows, served in-band, and driven entirely by mouse. *)
+   windows, served in-band, and driven entirely by mouse; and the lint
+   that holds README.md, doc/ and the lib/ interfaces to the tree. *)
 
 let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
@@ -11,6 +12,19 @@ let contains hay needle =
   n = 0 || f 0
 
 let page_of text = Guide.parse ~file:"test" text
+
+(* dune runs the tests in _build/default/test, and the stanza's deps
+   put the repository's docs and sources under _build/default; run by
+   hand from the repository root, the tests read the tree itself. *)
+let in_root =
+  Filename.concat (if Sys.file_exists "../doc" then ".." else ".")
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let all_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
+
+(* The registry as module initialization leaves it: the instruments
+   every linked library registers, before any session adds its own. *)
+let registry = Trace.stats_text ()
 
 let wrap synopsis =
   "# TESTPAGE(9)\n\n## NAME\n\ntestpage \xe2\x80\x94 a synthetic page\n\n\
@@ -127,26 +141,49 @@ let manual_tests =
   [
     Alcotest.test_case "every page parses warning-free and clickable" `Quick
       (fun () ->
+        let t = Session.boot () in
         let ps = Guide.pages () in
+        let names = List.map (fun p -> p.Guide.p_name) ps in
         check_int "eight pages" 8 (List.length ps);
         List.iter
           (fun p ->
-            Alcotest.(check (list string))
-              (p.Guide.p_name ^ " warnings")
-              [] p.Guide.p_warnings;
-            check_bool (p.Guide.p_name ^ " named") true
-              (p.Guide.p_name <> "" && p.Guide.p_title <> ""
-             && p.Guide.p_section > 0);
-            check_bool (p.Guide.p_name ^ " has invocations") true
+            let name = p.Guide.p_name in
+            Alcotest.(check (list string)) (name ^ " warnings") []
+              p.Guide.p_warnings;
+            check_bool (name ^ " named") true
+              (name <> "" && p.Guide.p_title <> "" && p.Guide.p_section > 0);
+            check_bool (name ^ " has invocations") true
               (p.Guide.p_invocations <> []);
             List.iter
               (fun inv ->
+                let cmd = Guide.synopsis_command inv in
                 check_bool
-                  (p.Guide.p_name ^ ": " ^ Guide.invocation_text inv
-                 ^ " composes")
-                  true
-                  (Guide.synopsis_command inv <> None))
-              p.Guide.p_invocations)
+                  (name ^ ": " ^ Guide.invocation_text inv ^ " composes")
+                  true (cmd <> None);
+                (* a composed line runs in a booted session: its command
+                   resolves and the files it names exist *)
+                match String.split_on_char ' ' (Option.value ~default:"" cmd)
+                      |> List.filter (fun w -> w <> "")
+                with
+                | [] -> ()
+                | verb :: args ->
+                    check_bool (name ^ ": " ^ verb ^ " resolves") true
+                      (Help.builtin verb
+                      || Rc.resolve t.Session.sh ~cwd:"/help/guide" verb
+                         <> None);
+                    List.iter
+                      (fun w ->
+                        if w.[0] = '/' then
+                          check_bool (name ^ ": " ^ w ^ " exists") true
+                            (Vfs.exists t.Session.ns w))
+                      args)
+              p.Guide.p_invocations;
+            List.iter
+              (fun (see, sec) ->
+                check_bool
+                  (Printf.sprintf "%s: SEE ALSO %s(%d) has a page" name see sec)
+                  true (List.mem see names))
+              p.Guide.p_see)
           ps);
     Alcotest.test_case "help page documents exactly the built-ins" `Quick
       (fun () ->
@@ -173,6 +210,25 @@ let manual_tests =
               (List.map (fun v -> v.Guide.v_name) p.Guide.p_verbs
               = [ "headers"; "messages"; "delete"; "reread"; "send" ])
         | None -> Alcotest.fail "no mail page");
+        (* the documented verbs are exactly the clickable scripts *)
+        let t = Session.boot () in
+        List.iter
+          (fun tool ->
+            let scripts =
+              Vfs.readdir t.Session.ns ("/help/" ^ tool)
+              |> List.map (fun st -> st.Vfs.st_name)
+              |> List.filter (fun f -> f <> "stf")
+            in
+            let verbs =
+              match Guide.find tool with
+              | Some p -> List.map (fun v -> v.Guide.v_name) p.Guide.p_verbs
+              | None -> []
+            in
+            Alcotest.(check (list string))
+              (tool ^ "(1) verbs are /help/" ^ tool)
+              (List.sort_uniq compare scripts)
+              (List.sort_uniq compare verbs))
+          [ "mail"; "guide" ];
         match Guide.find "guide" with
         | Some p ->
             check_bool "guide sees helpfs(4)" true
@@ -181,21 +237,171 @@ let manual_tests =
               (List.mem "/mnt/help/guide" p.Guide.p_files)
         | None -> Alcotest.fail "no guide page");
     Alcotest.test_case "embedded sources match doc/ on disk" `Quick (fun () ->
-        (* the build embeds doc/*.md; the lint gate re-checks this from
-           the repo root, the test from the build sandbox is skipped
-           when the files are not around *)
         List.iter
           (fun (file, embedded) ->
-            let path = "../doc/" ^ file in
-            if Sys.file_exists path then begin
-              let ic = open_in_bin path in
-              let n = in_channel_length ic in
-              let disk = really_input_string ic n in
-              close_in ic;
-              check_bool (file ^ " in sync") true (disk = embedded)
-            end)
-          Guide.sources);
+            check_bool (file ^ " in sync") true
+              (read_file (in_root ("doc/" ^ file)) = embedded))
+          Guide.sources;
+        (* a new man page must be added to lib/guide/dune to be served *)
+        Array.iter
+          (fun f ->
+            match String.split_on_char '.' f with
+            | [ _; sec; "md" ] when all_digits sec ->
+                check_bool (f ^ " embedded") true
+                  (List.mem_assoc f Guide.sources)
+            | _ -> ())
+          (Sys.readdir (in_root "doc")));
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Lint: interfaces and the references the docs make                   *)
+
+(* The paths of lib/'s sources whose names end in [suffix]. *)
+let lib_files suffix =
+  let lib = in_root "lib" in
+  Sys.readdir lib |> Array.to_list
+  |> List.filter (fun d -> Sys.is_directory (Filename.concat lib d))
+  |> List.concat_map (fun d ->
+         let dir = Filename.concat lib d in
+         Sys.readdir dir |> Array.to_list
+         |> List.filter (fun f -> Filename.check_suffix f suffix)
+         |> List.map (Filename.concat dir))
+
+(* lib/'s code in one string, less guide_docs.ml (generated from doc/
+   itself): a span name (guide.parse) is no instrument, and resolves
+   when lib/ spells it as a string literal. *)
+let lib_code =
+  lazy
+    (lib_files ".ml"
+    |> List.filter (fun p -> Filename.basename p <> "guide_docs.ml")
+    |> List.map read_file |> String.concat "\n")
+
+let interfaces_have_doc_comments () =
+  lib_files ".mli"
+  |> List.iter (fun path ->
+         check_bool (path ^ " opens with a doc comment") true
+           (String.starts_with ~prefix:"(**"
+              (String.trim (read_file path))))
+
+(* A code span or link target of README.md or doc/*.md that names a
+   tree path, a root document or a metric must resolve; [None] when
+   [t] resolves or names none of these. *)
+let dangling t =
+  let has_prefix ps =
+    List.exists
+      (fun p ->
+        String.length t > String.length p && String.starts_with ~prefix:p t)
+      ps
+  in
+  let only ok = String.for_all ok t in
+  let alnum c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  in
+  let path_ok t =
+    let t =
+      match String.index_opt t '#' with Some i -> String.sub t 0 i | None -> t
+    in
+    t = ""
+    || Sys.file_exists (in_root t)
+    || (* a dune target (bench/main.exe): its source stands in *)
+    Filename.check_suffix t ".exe"
+    && Sys.file_exists (in_root (Filename.chop_suffix t ".exe" ^ ".ml"))
+  in
+  if
+    has_prefix [ "lib/"; "doc/"; "bench/"; "test/" ]
+    && only (fun c -> alnum c || String.contains "./_-#" c)
+  then if path_ok t then None else Some ("dangling path reference " ^ t)
+  else if
+    (not (String.contains t '/'))
+    && (Filename.check_suffix t ".md" || Filename.check_suffix t ".sh")
+    && only (fun c -> alnum c || String.contains "._-" c)
+  then
+    if path_ok t || path_ok ("doc/" ^ t) then None
+    else Some ("dangling doc reference " ^ t)
+  else if
+    has_prefix
+      [ "nine."; "help."; "cbr."; "regexp."; "metrics."; "rc."; "vfs.";
+        "trace."; "index."; "wal."; "guide." ]
+    && only (fun c ->
+           (c >= 'a' && c <= 'z')
+           || (c >= '0' && c <= '9')
+           || String.contains "._<>*" c)
+  then
+    let segs = String.split_on_char '.' t in
+    if
+      List.exists all_digits segs (* a man-page name: ed.1, helpfs.4 *)
+      || List.mem (List.nth segs (List.length segs - 1))
+           [ "ml"; "mli"; "md"; "sh"; "json"; "exe" ] (* a file name *)
+    then None
+    else
+      (* a wildcard, as in nine.rpc.<kind>, names a prefix *)
+      let cut =
+        List.fold_left
+          (fun n c ->
+            match String.index_opt t c with Some i -> min n i | None -> n)
+          (String.length t) [ '<'; '*' ]
+      in
+      if
+        contains registry (String.sub t 0 cut)
+        || contains (Lazy.force lib_code) ("\"" ^ t ^ "\"")
+      then None
+      else Some ("unknown metric " ^ t)
+  else None
+
+let doc_references_resolve () =
+  let docs =
+    "README.md"
+    :: (Sys.readdir (in_root "doc") |> Array.to_list
+       |> List.filter (fun f -> Filename.check_suffix f ".md")
+       |> List.map (Filename.concat "doc"))
+  in
+  let failures =
+    List.concat_map
+      (fun doc ->
+        let text = read_file (in_root doc) in
+        (* code spans: the odd fields between backticks, counted per
+           paragraph outside fenced blocks, so one stray backtick
+           cannot invert the rest of the file *)
+        let spans =
+          String.split_on_char '\n' text
+          |> List.fold_left
+               (fun (fenced, paras) line ->
+                 if String.starts_with ~prefix:"```" line then
+                   (not fenced, "" :: paras)
+                 else if fenced || String.trim line = "" then
+                   (fenced, "" :: paras)
+                 else
+                   match paras with
+                   | p :: rest -> (fenced, (p ^ "\n" ^ line) :: rest)
+                   | [] -> (fenced, [ line ]))
+               (false, [])
+          |> snd
+          |> List.concat_map (fun para ->
+                 List.filteri
+                   (fun i _ -> i mod 2 = 1)
+                   (String.split_on_char '`' para))
+        in
+        (* link targets: ](target), within the tree *)
+        let rec links i acc =
+          match Hstr.find ~start:i text ~sub:"](" with
+          | None -> acc
+          | Some j -> (
+              match String.index_from_opt text (j + 2) ')' with
+              | None -> acc
+              | Some k ->
+                  let t = String.sub text (j + 2) (k - j - 2) in
+                  let acc =
+                    if t = "" || contains t "://" || t.[0] = '/' then acc
+                    else t :: acc
+                  in
+                  links (j + 2) acc)
+        in
+        List.filter_map
+          (fun t -> Option.map (fun e -> doc ^ ": " ^ e) (dangling t))
+          (spans @ List.rev (links 0 [])))
+      docs
+  in
+  Alcotest.(check (list string)) "dangling references" [] failures
 
 (* ------------------------------------------------------------------ *)
 (* The windowed application, driven by mouse                           *)
@@ -211,7 +417,8 @@ let session_tests =
         check_bool "stf lists the pages" true
           (contains (Htext.string (Hwin.body stf)) "guide help"));
     Alcotest.test_case "browse and run without the keyboard" `Quick (fun () ->
-        let t = Session.boot () in
+        let store = Wal.create_store () in
+        let t = Session.boot ~wal:store () in
         check_int "no pages yet" 0 (counter "guide.pages");
         let stf = Session.win t "/help/guide/stf" in
         (* middle-click `guide`: the index window *)
@@ -241,7 +448,26 @@ let session_tests =
         check_int "pages" 3 (counter "guide.pages");
         check_int "invocations" 1 (counter "guide.invocations");
         check_int "clicks" 4 (counter "guide.clicks");
-        check_int "keys" 0 (Metrics.total t.Session.metrics).Metrics.keys);
+        check_int "keys" 0 (Metrics.total t.Session.metrics).Metrics.keys;
+        (* a second hop and a second run, on nine(5) *)
+        Session.exec_sweep t helpfs_pg "guide nine";
+        let nine_pg = Session.win t "/help/guide/nine" in
+        Session.point_at t nine_pg "cat /mnt/help/index";
+        Session.exec_tag_word t nine_pg "run";
+        check_int "pages, after nine(5)" 4 (counter "guide.pages");
+        check_int "invocations, after nine(5)" 2 (counter "guide.invocations");
+        check_int "clicks, after nine(5)" 6 (counter "guide.clicks");
+        check_int "keys, after nine(5)" 0
+          (Metrics.total t.Session.metrics).Metrics.keys;
+        (* the op log agrees: not one keyboard event *)
+        let ops, _ = Wal.ops_after store ~pos:0 in
+        check_bool "no Key or Type op logged" false
+          (List.exists
+             (fun (_, op) ->
+               match op with
+               | Wal.O_event (Help.Key _ | Help.Type _) -> true
+               | _ -> false)
+             ops));
     Alcotest.test_case "a page is refreshed in place, not duplicated" `Quick
       (fun () ->
         let t = Session.boot () in
@@ -295,5 +521,12 @@ let () =
       ("parser", parser_tests);
       ("property", [ QCheck_alcotest.to_alcotest prop_roundtrip ]);
       ("manual", manual_tests);
+      ( "lint",
+        [
+          Alcotest.test_case "every lib/ interface opens with a doc comment"
+            `Quick interfaces_have_doc_comments;
+          Alcotest.test_case "README and doc/ references resolve" `Quick
+            doc_references_resolve;
+        ] );
       ("session", session_tests);
     ]

@@ -1,6 +1,7 @@
-(* The trigram index: planner soundness, staleness under edits, and
-   the generation-counter contract (unchanged generation => zero
-   re-tokenizations). *)
+(* The trigram index: planner soundness, staleness under edits, the
+   generation-counter contract (unchanged generation => zero
+   re-tokenizations), and a booted session's index over the real
+   corpus with its served files. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -104,6 +105,80 @@ let rebuild_control () =
     && (let _, _, p = Index.sizes ix in p = posts))
 
 (* ------------------------------------------------------------------ *)
+(* A booted session: the real corpus and the index's served files      *)
+
+let session_index () =
+  let t = Session.boot () in
+  let ns = t.Session.ns in
+  let ix = Index.of_ns ns in
+  let files =
+    List.map
+      (fun f -> Corpus.src_dir ^ "/" ^ f)
+      (Corpus.c_files @ [ "dat.h"; "fns.h" ])
+  in
+  List.iter
+    (fun pat ->
+      check_bool ("indexed = linear: " ^ pat) true
+        (same_results ix ns files pat))
+    [
+      "estrdup"; "curtext"; "Draw_op"; "textinsert"; "malloc"; "e?strdup";
+      "cur[a-z]+"; "tex+t"; "window|page"; "EIO|ENOENT"; "no_such_thing_zz";
+      "void [a-z]+"; "[A-Z][a-z]+_op"; "page->"; "return 0;";
+      "static (int|void)"; "\\*text"; "help\\.h"; "(open|close)page";
+      "err(or)?";
+    ];
+  (* a query mid-edit, with no rebuild between the write and the query *)
+  let victim = Corpus.src_dir ^ "/text.c" in
+  let original = Vfs.read_file ns victim in
+  Vfs.write_file ns victim (original ^ "int smoke_needle_zz;\n");
+  check_bool "mid-edit: indexed = linear" true
+    (same_results ix ns files "smoke_needle_zz");
+  check_bool "mid-edit: the needle is found" true
+    (Index.grep ix (re "smoke_needle_zz") files <> []);
+  Vfs.write_file ns victim original;
+  check_bool "after revert: the needle is gone" true
+    (Index.grep ix (re "smoke_needle_zz") files = []);
+  (* the served surface: stats, postings, rebuild, and the index file
+     still the window list *)
+  let run cmd = Rc.run t.Session.sh cmd in
+  let stats = run "cat /mnt/help/index/stats" in
+  check_int "index/stats status" 0 stats.Rc.r_status;
+  let fields =
+    List.filter_map
+      (fun l ->
+        if l = "" then None
+        else
+          match String.split_on_char ' ' l with
+          | [ k; v ] -> Some (k, int_of_string_opt v)
+          | _ -> Some (l, None))
+      (String.split_on_char '\n' stats.Rc.r_out)
+  in
+  check_int "index/stats has eight fields" 8 (List.length fields);
+  List.iter
+    (fun (k, v) -> check_bool (k ^ " is \"key int\"") true (v <> None))
+    fields;
+  check_bool "index/stats counts every queried file" true
+    (match List.assoc_opt "docs" fields with
+    | Some (Some docs) -> docs >= List.length files
+    | _ -> false);
+  let posts = run "cat /mnt/help/index/postings" in
+  check_bool "index/postings served" true
+    (posts.Rc.r_status = 0 && posts.Rc.r_out <> "");
+  check_int "index/rebuild accepts a write" 0
+    (run "echo rebuild > /mnt/help/index/rebuild").Rc.r_status;
+  check_bool "after rebuild: indexed = linear" true
+    (same_results ix ns files "estrdup");
+  let wins = run "cat /mnt/help/index" in
+  check_bool "index is still the window list" true
+    (wins.Rc.r_status = 0
+    &&
+    match String.index_opt wins.Rc.r_out '\t' with
+    | Some i ->
+        let first = String.sub wins.Rc.r_out 0 i in
+        (not (String.contains first '\n')) && int_of_string_opt first <> None
+    | None -> false)
+
+(* ------------------------------------------------------------------ *)
 (* Files: the qcheck edit-script property                              *)
 
 let patterns =
@@ -179,6 +254,8 @@ let () =
             files_indexed_equals_linear;
           Alcotest.test_case "generation counters" `Quick generation_counters;
           Alcotest.test_case "rebuild control" `Quick rebuild_control;
+          Alcotest.test_case "a booted session's corpus and index files"
+            `Quick session_index;
           QCheck_alcotest.to_alcotest prop_file_edits;
         ] );
     ]

@@ -1,6 +1,7 @@
 (* The multi-connection serving layer: per-connection fid spaces,
-   Tflush cancellation, round-robin fairness, and deterministic
-   interleaving replay. *)
+   Tflush cancellation, round-robin fairness, deterministic
+   interleaving replay, and many clients on one booted session,
+   with and without faults. *)
 
 let check_str = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
@@ -22,21 +23,30 @@ let reply_of = function
   | Waiting -> Alcotest.fail "request still waiting"
   | Flushed -> Alcotest.fail "request unexpectedly flushed"
 
-(* a pool over a ramfs with [n] raw attached connections *)
-let raw_pool n =
-  let ns = Vfs.create () in
-  let pool = Nine.Pool.create (Vfs.ramfs ns) in
+(* [n] raw connections to [pool], each negotiated and attached,
+   serving as we go *)
+let raw_seats pool n =
   let conns =
     List.init n (fun i ->
         Nine.Pool.attach ~uname:(Printf.sprintf "raw%d" i) pool)
   in
-  (* negotiate + attach each seat, serving as we go *)
   List.iter
     (fun c ->
       ignore (Nine.Pool.transport c (version ~tag:1));
       ignore (Nine.Pool.transport c (attach ~tag:2)))
     conns;
-  (ns, pool, conns)
+  conns
+
+(* a pool over a ramfs with [n] raw attached connections *)
+let raw_pool n =
+  let ns = Vfs.create () in
+  let pool = Nine.Pool.create (Vfs.ramfs ns) in
+  (ns, pool, raw_seats pool n)
+
+(* most-served over least-served, among the given served counts *)
+let spread_of served =
+  float_of_int (List.fold_left max 0 served)
+  /. float_of_int (List.fold_left min max_int served)
 
 (* live fids in one connection's table, from the pool's stats *)
 let fids_of pool c =
@@ -174,7 +184,7 @@ let script_runs seed =
   let mk i =
     let conn = Nine.Pool.attach ~uname:(Printf.sprintf "client%d" i) pool in
     let transport = Fault.wrap config (Nine.Pool.transport conn) in
-    (conn, Nine.Client.connect ~max_retries:8 ~uname:(Printf.sprintf "client%d" i) transport)
+    (conn, Nine.Client.connect ~uname:(Printf.sprintf "client%d" i) transport)
   in
   let clients = List.init 3 mk in
   let scratch = Vfs.create () in
@@ -193,6 +203,51 @@ let script_runs seed =
   in
   (journal (), transcripts, Nine.Pool.stats pool)
 
+(* A read-only slice of the figure session as one buffer of T-frames:
+   read the index and window [w]'s body, ctl and tag, and stat the
+   index — 19 requests after version and attach. *)
+let read_script w =
+  let read names =
+    [
+      Nine.Twalk { fid = 0; newfid = 1; names };
+      Nine.Topen { fid = 1; mode = Nine.Oread };
+      Nine.Tread { fid = 1; offset = 0; count = 8192 };
+      Nine.Tclunk { fid = 1 };
+    ]
+  in
+  read [ "index" ] @ read [ w; "body" ] @ read [ w; "ctl" ]
+  @ [
+      Nine.Twalk { fid = 0; newfid = 2; names = [ "index" ] };
+      Nine.Tstat { fid = 2 };
+      Nine.Tclunk { fid = 2 };
+    ]
+  @ read [ w; "tag" ]
+  |> List.mapi (fun i m -> tmsg ~tag:(3 + i) m)
+  |> String.concat ""
+
+(* Every seat feeds [script] before any is served; each seat's Rread
+   payloads, concatenated, and the requests it was served.  The seats
+   are disconnected after. *)
+let replay_seats pool seats script =
+  let tickets = List.map (fun c -> (c, Nine.Pool.feed c script)) seats in
+  Nine.Pool.run pool;
+  List.map
+    (fun (c, ts) ->
+      let reads = Buffer.create 256 in
+      List.iter
+        (fun t ->
+          match Nine.Pool.take c t with
+          | Nine.Pool.Replied r -> (
+              match Nine.decode_r r with
+              | _, Nine.Rread { data } -> Buffer.add_string reads data
+              | _ -> ())
+          | _ -> ())
+        ts;
+      let served = Nine.Pool.served c in
+      Nine.Pool.disconnect c;
+      (Buffer.contents reads, served))
+    tickets
+
 let fairness_tests =
   [
     Alcotest.test_case "round-robin serves equal scripts equally" `Quick
@@ -206,7 +261,23 @@ let fairness_tests =
           conns;
         Nine.Pool.run pool;
         let spread = Nine.Pool.fairness_spread pool in
-        check_bool "spread is 1.0" true (spread = 1.0));
+        check_bool "spread is 1.0" true (spread = 1.0);
+        (* at scale on a booted session: 128 seats replaying one script
+           read what a lone seat reads, served within 5% of each other *)
+        let s = Session.boot () in
+        let w =
+          let index = Vfs.read_file s.ns "/mnt/help/index" in
+          String.sub index 0 (String.index index '\t')
+        in
+        let script = read_script w in
+        let lone =
+          fst (List.hd (replay_seats s.pool (raw_seats s.pool 1) script))
+        in
+        let fleet = replay_seats s.pool (raw_seats s.pool 128) script in
+        check_bool "every seat reads what a lone seat reads" true
+          (List.for_all (fun (reads, _) -> reads = lone) fleet);
+        check_bool "128 seats served within 1.05" true
+          (spread_of (List.map snd fleet) <= 1.05));
     Alcotest.test_case "a chatty client cannot starve the rest" `Quick
       (fun () ->
         let _ns, pool, conns = raw_pool 2 in
@@ -264,7 +335,7 @@ let client_tests =
               raise Nine.Timeout
           | _ -> Nine.Pool.transport conn packet
         in
-        let client = Nine.Client.connect ~max_retries:4 transport in
+        let client = Nine.Client.connect transport in
         ignore ns;
         let scratch = Vfs.create () in
         Vfs.mount scratch "/m" (Nine.Client.filesystem client);
@@ -280,6 +351,43 @@ let client_tests =
 
 (* ------------------------------------------------------------------ *)
 (* Through a whole session                                             *)
+
+(* Eight clients on one booted session (the E12 load): each makes a
+   window, then over three rounds appends to it and reads its body,
+   the index and its ctl.  Returns the session's screen, the spread
+   of requests served among the clients, and the fids left above
+   baseline once every client has gone. *)
+let eight_seats ?fault () =
+  let s = Session.boot () in
+  let baseline = Nine.Pool.fid_count s.pool in
+  let wrap = Option.map Fault.wrap fault in
+  let seats =
+    List.init 8 (fun i ->
+        Session.attach_client ?wrap ~uname:(Printf.sprintf "client%d" i) s)
+  in
+  let scratch = Vfs.create () in
+  List.iteri
+    (fun i (_, fs) -> Vfs.mount scratch (Printf.sprintf "/c%d" i) fs)
+    seats;
+  let wins = Array.make 8 "" in
+  for round = 0 to 2 do
+    List.iteri
+      (fun i _ ->
+        let root = Printf.sprintf "/c%d" i in
+        if round = 0 then
+          wins.(i) <- String.trim (Vfs.read_file scratch (root ^ "/new/ctl"));
+        let w = root ^ "/" ^ wins.(i) in
+        Vfs.write_file scratch (w ^ "/bodyapp")
+          (Printf.sprintf "client %d round %d\n" i round);
+        List.iter
+          (fun f -> ignore (Vfs.read_file scratch f))
+          [ w ^ "/body"; root ^ "/index"; w ^ "/ctl" ])
+      seats
+  done;
+  let spread = spread_of (List.map (fun (c, _) -> Nine.Pool.served c) seats) in
+  let dump = Session.dump s in
+  List.iter (fun (c, _) -> Nine.Pool.disconnect c) seats;
+  (dump, spread, Nine.Pool.fid_count s.pool - baseline)
 
 let session_tests =
   [
@@ -309,6 +417,27 @@ let session_tests =
         Nine.Pool.disconnect conn;
         check_int "fids back to baseline" baseline
           (Nine.Pool.fid_count s.pool));
+    Alcotest.test_case "eight seats converge under a 10% fault schedule"
+      `Quick (fun () ->
+        let clean_dump, clean_spread, clean_leaked = eight_seats () in
+        let dump, spread, leaked =
+          eight_seats ~fault:{ Fault.default with seed = 0xca11; rate = 0.1 } ()
+        in
+        check_str "screens identical under faults" clean_dump dump;
+        check_int "no leaked fids" 0 clean_leaked;
+        check_int "no leaked fids under faults" 0 leaked;
+        check_bool "spread within 2" true (clean_spread <= 2.0);
+        check_bool "spread within 2 under faults" true (spread <= 2.0);
+        (* the counters were reset at the faulted boot: they describe
+           the faulted run alone *)
+        check_bool "faults were injected" true
+          (counter_value "nine.fault.injected" > 0);
+        check_int "every flush received was cancelled or stale"
+          (counter_value "nine.flush.received")
+          (counter_value "nine.flush.cancelled"
+          + counter_value "nine.flush.stale");
+        check_bool "per-connection stats on the ledger" true
+          (Hstr.contains (Trace.stats_text ()) ~sub:"nine.conn.attached"));
     Alcotest.test_case "a fid's file is closed however it ends" `Quick
       (fun () ->
         (* closing a window's ctl runs an unterminated last command, so
@@ -453,6 +582,9 @@ let scheduler_tests =
         Trace.reset ();
         check_bool "journals identical" true (j1 = j2);
         check_bool "batch histograms identical" true (h1 = h2);
+        let count, _, _, largest = h1 in
+        check_bool "batches recorded" true (count > 0);
+        check_bool "frames coalesce into batches" true (largest >= 2);
         check_bool "replies identical" true (r1 = r2);
         check_bool "journal non-empty" true (j1 <> []);
         check_bool "a different seed batches differently" true (j1 <> j3));

@@ -185,10 +185,26 @@ let cross_arb =
 
 let show_r = function None -> "None" | Some (a, b) -> Printf.sprintf "(%d,%d)" a b
 
-(* The acceptance property: the full pipeline (prefilter + DFA +
-   sweep), the plain NFA sweep, the rope-streaming path, and a
-   byte-at-a-time Stream all return the reference matcher's exact
-   (start, stop). *)
+(* Every engine's span for [re] on [s] from [pos]: the full pipeline
+   (prefilter + DFA + sweep), the plain NFA sweep, the rope-streaming
+   path and, from 0, a byte-at-a-time Stream. *)
+let engine_spans re s pos =
+  [
+    ("search", Regexp.search re s pos);
+    ("search_nfa", Regexp.search_nfa re s pos);
+    ("rope", Hsearch.search_rope re (Rope.of_string s) pos);
+  ]
+  @
+  if pos > 0 then []
+  else
+    let cu = Regexp.Stream.create re in
+    for i = 0 to String.length s - 1 do
+      Regexp.Stream.feed cu s ~pos:i ~len:1
+    done;
+    [ ("stream", Regexp.Stream.finish cu) ]
+
+(* The acceptance property: every engine returns the reference
+   matcher's exact (start, stop). *)
 let prop_engines_agree =
   QCheck.Test.make ~name:"pipeline, NFA sweep, streaming = reference spans"
     ~count:1000 cross_arb (fun (pat, s) ->
@@ -196,24 +212,40 @@ let prop_engines_agree =
       | exception Regexp.Parse_error _ -> QCheck.assume_fail ()
       | re ->
           let expected = ref_search pat s 0 in
-          let full = Regexp.search re s 0 in
-          let nfa = Regexp.search_nfa re s 0 in
-          let rope = Hsearch.search_rope re (Rope.of_string s) 0 in
-          let stream =
-            let cu = Regexp.Stream.create re in
-            for i = 0 to String.length s - 1 do
-              Regexp.Stream.feed cu s ~pos:i ~len:1
-            done;
-            Regexp.Stream.finish cu
-          in
-          if full = expected && nfa = expected && rope = expected
-             && stream = expected
-          then true
-          else
-            QCheck.Test.fail_reportf
-              "expected %s: search=%s search_nfa=%s rope=%s stream=%s"
-              (show_r expected) (show_r full) (show_r nfa) (show_r rope)
-              (show_r stream))
+          let spans = engine_spans re s 0 in
+          List.for_all (fun (_, r) -> r = expected) spans
+          || QCheck.Test.fail_reportf "expected %s: %s" (show_r expected)
+               (String.concat " "
+                  (List.map (fun (e, r) -> e ^ "=" ^ show_r r) spans)))
+
+(* The same agreement on a fixed battery: anchors, newlines, an empty
+   haystack and cur[a-z]+, from every start up to 3. *)
+let battery_agrees () =
+  List.iter
+    (fun pat ->
+      let re = Regexp.compile_uncached pat in
+      List.iter
+        (fun s ->
+          for pos = 0 to min 3 (String.length s) do
+            let expected = ref_search pat s pos in
+            List.iter
+              (fun (engine, r) ->
+                Alcotest.(check (option (pair int int)))
+                  (Printf.sprintf "%s /%s/ %S @%d" engine pat s pos)
+                  expected r)
+              (engine_spans re s pos)
+          done;
+          check_bool
+            (Printf.sprintf "matches /%s/ %S" pat s)
+            (ref_matches pat s) (Regexp.matches re s))
+        [
+          ""; "a"; "abc"; "xxabbbcyy"; "aab\nabc"; "line 1 under edit\nline 2";
+          "curtext curpage"; "xyx xyzx xx"; "babab"; "ab\n\nab"; "aaaaabbbbb";
+        ])
+    [
+      "abc"; "ab+c"; "a*"; "(a|b)*c"; "^ab"; "ab$"; "^$"; "a.c"; "[a-c]+";
+      "er+ s"; "x[yz]*x"; "(ab|a)b"; "a(b|)c"; "[^b]a"; "cur[a-z]+"; ".";
+    ]
 
 let prop_matches_agree =
   QCheck.Test.make ~name:"matches/Scan agree with reference existence"
@@ -260,8 +292,8 @@ let prop_search_pos =
       | exception Regexp.Parse_error _ -> QCheck.assume_fail ()
       | re ->
           QCheck.assume (pos <= String.length s);
-          Regexp.search re s pos = ref_search pat s pos
-          && Hsearch.search_rope re (Rope.of_string s) pos = ref_search pat s pos)
+          let expected = ref_search pat s pos in
+          List.for_all (fun (_, r) -> r = expected) (engine_spans re s pos))
 
 (* ------------------------------------------------------------------ *)
 (* Streaming / rope regressions with real chunk boundaries.  A string
@@ -371,13 +403,15 @@ let () =
       ("rope", big_rope_tests);
       ("dfa", dfa_tests);
       ( "property",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            prop_vs_reference;
-            prop_search_bounds;
-            prop_engines_agree;
-            prop_matches_agree;
-            prop_tiny_dfa_cache;
-            prop_search_pos;
-          ] );
+        Alcotest.test_case "engines agree on a fixed battery" `Quick
+          battery_agrees
+        :: List.map QCheck_alcotest.to_alcotest
+             [
+               prop_vs_reference;
+               prop_search_bounds;
+               prop_engines_agree;
+               prop_matches_agree;
+               prop_tiny_dfa_cache;
+               prop_search_pos;
+             ] );
     ]

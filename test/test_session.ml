@@ -1,6 +1,7 @@
 (* Integration: the booted session and the full replay of the paper's
    worked example (figures 4-12), with the structural assertions that
-   make each figure checkable. *)
+   make each figure checkable, and the same replay converging under a
+   fault schedule. *)
 
 let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
@@ -150,6 +151,32 @@ let demo_tests =
             check_int ("connectivity of " ^ x.s_label) x.s_connectivity
               y.s_connectivity)
           a.Demo.steps b.Demo.steps);
+    Alcotest.test_case "the replay converges under a 10% fault schedule" `Quick
+      (fun () ->
+        let clean = Lazy.force outcome in
+        let faulty =
+          Demo.run ~fault:{ Fault.default with seed = 0xbead; rate = 0.1 } ()
+        in
+        List.iter2
+          (fun (x : Demo.step) (y : Demo.step) ->
+            check_str ("screen of " ^ x.s_label) x.s_dump y.s_dump)
+          clean.Demo.steps faulty.Demo.steps;
+        let fids o = Nine.Pool.fid_count o.Demo.session.Session.pool in
+        check_int "no leaked fids" (fids clean) (fids faulty);
+        (* the ledger, reset at the faulted boot, describes that run *)
+        let v k = Option.value ~default:0 (Trace.find_value k) in
+        check_bool "faults were injected" true (v "nine.fault.injected" > 0);
+        check_bool "the client retried" true
+          (List.exists
+             (fun k -> v ("nine.retry." ^ k) > 0)
+             [ "version"; "attach"; "walk"; "stat"; "read"; "clunk" ]);
+        let stats =
+          Rc.run faulty.Demo.session.Session.sh "cat /mnt/help/stats"
+        in
+        check_int "stats status" 0 stats.Rc.r_status;
+        check_bool "faults and retries served in /mnt/help/stats" true
+          (contains stats.Rc.r_out "nine.fault.injected"
+          && contains stats.Rc.r_out "nine.retry."));
     Alcotest.test_case "windows never lose the tag-or-covered invariant" `Quick
       (fun () ->
         let o = Lazy.force outcome in

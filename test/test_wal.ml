@@ -135,8 +135,11 @@ let script : (Session.t -> unit) list =
     (fun t -> ignore (Session.dump t));
   ]
 
+(* The screen, then the stats, which count the draw the dump logs: a
+   tuple would evaluate right to left and read the stats first. *)
 let finish t =
-  (Session.dump t, Vfs.read_file t.Session.ns "/mnt/help/stats")
+  let d = Session.dump t in
+  (d, Vfs.read_file t.Session.ns "/mnt/help/stats")
 
 let reference =
   lazy
@@ -151,10 +154,22 @@ let reference =
          script
      in
      let d, s = finish t in
-     (store, cuts, d, s))
+     (store, cuts, d, s, t))
 
+(* the value of [key] in a /mnt/help/stats text *)
+let stat text key =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ k; v ] when k = key -> int_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' text)
+  |> Option.value ~default:0
+
+(* Recover from a cut at [pos]; whether the screen, the stats and the
+   fid count then equal the uninterrupted run's. *)
 let recover_from_cut pos =
-  let store, cuts, d_ref, s_ref = Lazy.force reference in
+  let store, cuts, d_ref, s_ref, t_ref = Lazy.force reference in
   let t = Session.recover ~checkpoint_every:4 (Wal.truncate_log store pos) in
   (* re-drive the ops the crash threw away: everything after the last
      op whose record fully precedes the cut *)
@@ -164,32 +179,41 @@ let recover_from_cut pos =
   in
   List.iter (fun op -> op t) (todo 0 cuts);
   let d, s = finish t in
-  (d = d_ref, s = s_ref)
+  let fids = Nine.Pool.fid_count in
+  (d = d_ref, s = s_ref, fids t.Session.pool = fids t_ref.Session.pool)
 
 let recovery_converges () =
-  let store, cuts, _, _ = Lazy.force reference in
-  ignore store;
+  let _, cuts, _, s_ref, t_ref = Lazy.force reference in
+  (* the reference run's own wal counters are well-formed *)
+  check_int "wal.records is the op count"
+    (Wal.op_count (Option.get !(t_ref.Session.wal)))
+    (stat s_ref "wal.records");
+  List.iter
+    (fun key -> check_bool (key ^ " is positive") true (stat s_ref key > 0))
+    [ "wal.bytes"; "wal.snapshots"; "wal.journal.entries" ];
   (* one clean boundary and one torn mid-record cut *)
   let mid = List.nth cuts 2 + 3 in
   List.iter
     (fun pos ->
-      let d_ok, s_ok = recover_from_cut pos in
+      let d_ok, s_ok, f_ok = recover_from_cut pos in
       check_bool (Printf.sprintf "screen converges at cut %d" pos) true d_ok;
-      check_bool (Printf.sprintf "stats converge at cut %d" pos) true s_ok)
+      check_bool (Printf.sprintf "stats converge at cut %d" pos) true s_ok;
+      check_bool (Printf.sprintf "fids unchanged at cut %d" pos) true f_ok)
     [ List.nth cuts 1; mid ]
 
 (* The last scripted cut: every scripted op survives and nothing is
    re-driven.  The log goes on past it with [finish]'s own draw, which
    the recovered session must not hold. *)
 let recovery_at_last_scripted_cut () =
-  let _, cuts, _, _ = Lazy.force reference in
+  let _, cuts, _, _, _ = Lazy.force reference in
   let pos = List.nth cuts (List.length cuts - 1) in
-  let d_ok, s_ok = recover_from_cut pos in
+  let d_ok, s_ok, f_ok = recover_from_cut pos in
   check_bool "screen converges at the last scripted cut" true d_ok;
-  check_bool "stats converge at the last scripted cut" true s_ok
+  check_bool "stats converge at the last scripted cut" true s_ok;
+  check_bool "fids unchanged at the last scripted cut" true f_ok
 
 let recovery_refuses_journal_gap () =
-  let store, _, _, _ = Lazy.force reference in
+  let store, _, _, _, _ = Lazy.force reference in
   let crashed = Wal.truncate_log store (Wal.log_pos store) in
   check_bool "journal intact verifies" true
     (match Wal.verify_journal crashed with () -> true);
@@ -230,7 +254,7 @@ let prop_any_cut_recovers =
   QCheck.Test.make ~name:"recovery converges from any cut position" ~count:8
     (QCheck.make QCheck.Gen.(int_range 0 1_000_000))
     (fun r ->
-      let store, cuts, _, _ = Lazy.force reference in
+      let store, cuts, _, _, _ = Lazy.force reference in
       let last_cut = List.nth cuts (List.length cuts - 1) in
       let pos = r mod (last_cut + 1) in
       let first =
@@ -243,8 +267,8 @@ let prop_any_cut_recovers =
         | exception Wal.Corrupt _ -> true
         | _ -> false
       else
-        let d_ok, s_ok = recover_from_cut pos in
-        d_ok && s_ok)
+        let d_ok, s_ok, f_ok = recover_from_cut pos in
+        d_ok && s_ok && f_ok)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery over the paper's bug-fix session (Figures 4-12).  Its
