@@ -16,10 +16,27 @@ let row fmt = Printf.printf fmt
 (* ------------------------------------------------------------------ *)
 (* Machine-readable ledger (--json <path>)                             *)
 
+(* Median, interquartile range and count of repeated readings. *)
+type spread = { median : float; iqr : float; n : int }
+
+let spread readings =
+  let a = Array.of_list readings in
+  Array.sort compare a;
+  let n = Array.length a in
+  (* the [p] quantile, interpolating between order statistics *)
+  let q p =
+    let x = p *. float_of_int (n - 1) in
+    let i = int_of_float x in
+    if i + 1 < n then a.(i) +. ((x -. float_of_int i) *. (a.(i + 1) -. a.(i)))
+    else a.(i)
+  in
+  { median = q 0.5; iqr = q 0.75 -. q 0.25; n }
+
 (* Collected as the sections run; written at exit so the perf
    trajectory can be tracked across changes without scraping stdout. *)
 let j_e7 : (string * float) list ref = ref []  (* ns per operation *)
-let j_e10 : (string * float) list ref = ref []  (* processor milliseconds *)
+let j_cbr : (string * float) list ref = ref []  (* C front-end figures *)
+let j_e10 : (string * spread) list ref = ref []  (* processor milliseconds *)
 let j_e11 : (string * float) list ref = ref []  (* search ns/op + ratios *)
 let j_e12 : (string * float) list ref = ref []  (* pool load figures *)
 let j_e13 : (string * float) list ref = ref []  (* serving-core figures *)
@@ -28,6 +45,7 @@ let j_e15 : (string * float) list ref = ref []  (* durability figures *)
 let j_e16 : (string * float) list ref = ref []  (* guide/manual figures *)
 
 let j7 name v = j_e7 := (name, v) :: !j_e7
+let jcbr name v = j_cbr := (name, v) :: !j_cbr
 let j10 name v = j_e10 := (name, v) :: !j_e10
 let j11 name v = j_e11 := (name, v) :: !j_e11
 let j12 name v = j_e12 := (name, v) :: !j_e12
@@ -57,14 +75,25 @@ let write_json path =
              (Printf.sprintf fmt v))
          entries)
   in
+  let spreads entries =
+    String.concat ",\n"
+      (List.map
+         (fun (k, { median; iqr; n }) ->
+           Printf.sprintf
+             "    \"%s\": { \"median\": %.3f, \"iqr\": %.3f, \"n\": %d }"
+             (json_escape k) median iqr n)
+         entries)
+  in
   Printf.fprintf oc
-    "{\n  \"schema\": \"help-bench-11\",\n  \"e7_ns_per_op\": {\n%s\n  },\n  \
-     \"e10_ms\": {\n%s\n  },\n  \"search\": {\n%s\n  },\n  \
+    "{\n  \"schema\": \"help-bench-12\",\n  \"e7_ns_per_op\": {\n%s\n  },\n  \
+     \"cbr\": {\n%s\n  },\n  \"e10_processor_ms\": {\n%s\n  },\n  \
+     \"search\": {\n%s\n  },\n  \
      \"pool\": {\n%s\n  },\n  \"e13\": {\n%s\n  },\n  \
      \"index\": {\n%s\n  },\n  \"wal\": {\n%s\n  },\n  \
      \"guide\": {\n%s\n  }\n}\n"
     (table (List.rev !j_e7))
-    (table (List.rev !j_e10))
+    (table ~fmt:(format_of_string "%.1f") (List.rev !j_cbr))
+    (spreads (List.rev !j_e10))
     (table (List.rev !j_e11))
     (table (List.rev !j_e12))
     (table (List.rev !j_e13))
@@ -73,9 +102,10 @@ let write_json path =
     (table ~fmt:(format_of_string "%.1f") (List.rev !j_e16));
   close_out oc;
   Printf.printf
-    "\nwrote %s (%d e7 rows, %d e10 rows, %d search rows, %d pool rows, %d \
-     e13 rows, %d index rows, %d wal rows, %d guide rows)\n"
-    path (List.length !j_e7) (List.length !j_e10) (List.length !j_e11)
+    "\nwrote %s (%d e7 rows, %d cbr rows, %d e10 rows, %d search rows, %d \
+     pool rows, %d e13 rows, %d index rows, %d wal rows, %d guide rows)\n"
+    path (List.length !j_e7) (List.length !j_cbr) (List.length !j_e10)
+    (List.length !j_e11)
     (List.length !j_e12) (List.length !j_e13) (List.length !j_e14)
     (List.length !j_e15) (List.length !j_e16)
 
@@ -200,6 +230,22 @@ let e3_connectivity (demo : Demo.outcome) =
 (* ------------------------------------------------------------------ *)
 (* E4: uses vs grep                                                    *)
 
+(* Minor words per unit of a one-unit [Cbr.analyze] over the units
+   boot's mk compiles, as [vc] analyzes them; the gc-smoke gate holds
+   the C front end's allocation to this figure. *)
+let cbr_words_per_unit () =
+  let ns = Vfs.create () in
+  Corpus.install ns;
+  let analyze_each () =
+    List.iter
+      (fun f -> ignore (Cbr.analyze ns ~cwd:Corpus.src_dir [ f ]))
+      Corpus.c_files
+  in
+  analyze_each ();
+  let w0 = Gc.minor_words () in
+  analyze_each ();
+  (Gc.minor_words () -. w0) /. float_of_int (List.length Corpus.c_files)
+
 let e4_uses_vs_grep () =
   section "E4" "semantic uses vs textual grep over the help sources";
   let ns = Vfs.create () in
@@ -221,7 +267,11 @@ let e4_uses_vs_grep () =
       ("curtext", "help.c", "curtext = 0;");
     ];
   row "paper: grep n would find \"every occurrence of the letter n\";\n";
-  row "uses parses the program and keeps the local n in textinsert apart.\n"
+  row "uses parses the program and keeps the local n in textinsert apart.\n";
+  let words = cbr_words_per_unit () in
+  row "front end: %.0f minor words per unit (the %d units boot's mk compiles)\n"
+    words (List.length Corpus.c_files);
+  jcbr "cbr_minor_words_per_unit_smoke" words
 
 (* ------------------------------------------------------------------ *)
 (* E5: placement ablation                                              *)
@@ -510,161 +560,225 @@ let time f =
   let v = f () in
   (v, Sys.time () -. t0)
 
+(* E10 reads every figure [e10_reps] times and ledgers its spread. *)
+let e10_reps = 9
+
+(* [f (setup ())] timed [e10_reps] times, each on a fresh, untimed
+   [setup ()]: the spread of its processor milliseconds and the last
+   result. *)
+let repeated ~setup f =
+  let last = ref None in
+  let ms =
+    List.init e10_reps (fun _ ->
+        let s = setup () in
+        let v, secs = time (fun () -> f s) in
+        last := Some v;
+        secs *. 1000.)
+  in
+  (spread ms, Option.get !last)
+
+let e10_row ?(unit = "ms") label sp note =
+  row "  %-44s %9.3f %s  iqr %7.3f%s\n" label sp.median unit sp.iqr note
+
 let e10_scale () =
   section "E10" "scale: large files, large builds, crowded screens";
+  row "each figure: median and interquartile range of %d runs\n" e10_reps;
   (* a large file through the editor data path *)
   let chunk = "a line of a very large file under interactive edit\n" in
   let big = String.concat "" (List.init 200_000 (fun _ -> chunk)) in
   row "file of %d MB, %d lines (processor time):\n"
     (String.length big / 1_000_000) 200_000;
-  let rope, t_build = time (fun () -> Rope.of_string big) in
-  row "  %-44s %8.1f ms\n" "build rope" (t_build *. 1000.);
-  j10 "build rope" (t_build *. 1000.);
-  let _, t_edit =
-    time (fun () ->
+  let sp, rope = repeated ~setup:ignore (fun () -> Rope.of_string big) in
+  e10_row "build rope" sp "";
+  j10 "build rope" sp;
+  let sp, () =
+    repeated ~setup:ignore (fun () ->
         let r = ref rope in
         for i = 1 to 1000 do
           r := Rope.insert !r (i * 9_000) "EDIT";
           r := Rope.delete !r (i * 9_000) 4
         done)
   in
-  row "  %-44s %8.3f ms\n" "1000 edits (insert+delete)" (t_edit *. 1000.);
-  j10 "1000 edits" (t_edit *. 1000.);
-  let _, t_line = time (fun () -> Rope.line_start rope 150_000) in
-  row "  %-44s %8.3f ms\n" "seek line 150000" (t_line *. 1000.);
-  j10 "seek line 150000" (t_line *. 1000.);
-  let _, t_frame =
-    time (fun () -> Frame.layout rope ~org:(Rope.line_start rope 150_000) ~w:60 ~h:40)
+  e10_row "1000 edits (insert+delete)" sp "";
+  j10 "1000 edits" sp;
+  let sp, _ = repeated ~setup:ignore (fun () -> Rope.line_start rope 150_000) in
+  e10_row "seek line 150000" sp "";
+  j10 "seek line 150000" sp;
+  let sp, _ =
+    repeated ~setup:ignore (fun () ->
+        Frame.layout rope ~org:(Rope.line_start rope 150_000) ~w:60 ~h:40)
   in
-  row "  %-44s %8.3f ms\n" "lay out a 60x40 frame there" (t_frame *. 1000.);
-  j10 "60x40 frame layout" (t_frame *. 1000.);
-  (* a large build through vc/vl/mk *)
-  let ns = Vfs.create () in
-  Corpus.install ns;
-  let sh = Rc.create ns in
-  Coreutils.install sh;
-  Mk.install sh;
-  Cbr.install sh;
-  let db = Db.create () in
-  Db.install sh db;
-  let dir = Corpus.install_synthetic ns ~modules:100 in
-  let r, t_mk = time (fun () -> Rc.run sh ~cwd:dir "mk") in
+  e10_row "lay out a 60x40 frame there" sp "";
+  j10 "60x40 frame layout" sp;
+  (* a large build through vc/vl/mk, each run in a fresh namespace *)
+  let project () =
+    let ns = Vfs.create () in
+    Corpus.install ns;
+    let sh = Rc.create ns in
+    Coreutils.install sh;
+    Mk.install sh;
+    Cbr.install sh;
+    Db.install sh (Db.create ());
+    (ns, sh, Corpus.install_synthetic ns ~modules:100)
+  in
+  let status (r : Rc.result) = Printf.sprintf " (status %d)" r.Rc.r_status in
   row "synthetic project of 100 modules (processor time):\n";
-  row "  %-44s %8.1f ms (status %d)\n" "full mk build (parse+link every unit)"
-    (t_mk *. 1000.) r.Rc.r_status;
-  j10 "full mk" (t_mk *. 1000.);
-  let _ = Rc.run sh ~cwd:dir "touch mod050.c" in
-  let r2, t_inc = time (fun () -> Rc.run sh ~cwd:dir "mk -modified") in
-  row "  %-44s %8.1f ms (status %d)\n" "incremental mk -modified after 1 touch"
-    (t_inc *. 1000.) r2.Rc.r_status;
-  j10 "incremental mk" (t_inc *. 1000.);
-  let files = List.init 100 (fun i -> Printf.sprintf "mod%03d.c" i) in
-  let p, t_uses = time (fun () -> Cbr.analyze ns ~cwd:dir files) in
-  row "  %-44s %8.1f ms (%d decls)\n" "whole-program analysis for uses"
-    (t_uses *. 1000.)
-    (List.length p.C_symbols.p_decls);
-  j10 "analysis fresh" (t_uses *. 1000.);
-  (* incremental analysis: per-unit cache keyed by content digest *)
-  let idx = Cbr.create_index () in
-  let _, t_cold = time (fun () -> Cbr.analyze ~index:idx ns ~cwd:dir files) in
-  let _, t_warm = time (fun () -> Cbr.analyze ~index:idx ns ~cwd:dir files) in
-  Vfs.append_file ns (dir ^ "/mod050.c") "\nint extra050;\n";
-  let p3, t_one = time (fun () -> Cbr.analyze ~index:idx ns ~cwd:dir files) in
-  let hits, misses = Cbr.index_stats idx in
-  row "  %-44s %8.1f ms\n" "analysis, cold cache" (t_cold *. 1000.);
-  row "  %-44s %8.1f ms\n" "analysis, warm cache (0 edits)" (t_warm *. 1000.);
-  row "  %-44s %8.1f ms (%d decls; %d hits/%d misses)\n"
-    "analysis after editing 1 of 100 files" (t_one *. 1000.)
-    (List.length p3.C_symbols.p_decls) hits misses;
-  j10 "analysis warm" (t_warm *. 1000.);
-  j10 "analysis 1 edit" (t_one *. 1000.);
-  (* a crowded screen *)
-  let help = Help.create ~w:100 ~h:48 ns sh in
-  let _, t_open =
-    time (fun () ->
-        for i = 0 to 39 do
-          ignore
-            (Help.open_file help ~dir:"/"
-               (Printf.sprintf "%s/mod%03d.c" dir i))
-        done)
+  let sp, r =
+    repeated ~setup:project (fun (_, sh, dir) -> Rc.run sh ~cwd:dir "mk")
   in
+  e10_row "full mk build (parse+link every unit)" sp (status r);
+  j10 "full mk" sp;
+  let touched () =
+    let ((_, sh, dir) as p) = project () in
+    ignore (Rc.run sh ~cwd:dir "mk");
+    ignore (Rc.run sh ~cwd:dir "touch mod050.c");
+    p
+  in
+  let sp, r =
+    repeated ~setup:touched (fun (_, sh, dir) ->
+        Rc.run sh ~cwd:dir "mk -modified")
+  in
+  e10_row "incremental mk -modified after 1 touch" sp (status r);
+  j10 "incremental mk" sp;
+  let files = List.init 100 (fun i -> Printf.sprintf "mod%03d.c" i) in
+  let sp, p =
+    repeated ~setup:project (fun (ns, _, dir) -> Cbr.analyze ns ~cwd:dir files)
+  in
+  e10_row "whole-program analysis for uses" sp
+    (Printf.sprintf " (%d decls)" (List.length p.C_symbols.p_decls));
+  j10 "analysis fresh" sp;
+  (* incremental analysis: per-unit cache keyed by content digest *)
+  let analyze_with ((ns, _, dir), idx) =
+    let h0, m0 = Cbr.index_stats idx in
+    let p = Cbr.analyze ~index:idx ns ~cwd:dir files in
+    let h1, m1 = Cbr.index_stats idx in
+    (p, h1 - h0, m1 - m0)
+  in
+  let cold () = (project (), Cbr.create_index ()) in
+  let warm () =
+    let c = cold () in
+    ignore (analyze_with c);
+    c
+  in
+  let edited () =
+    let (((ns, _, dir), _) as c) = warm () in
+    Vfs.append_file ns (dir ^ "/mod050.c") "\nint extra050;\n";
+    c
+  in
+  List.iter
+    (fun (label, key, setup) ->
+      let sp, (p, hits, misses) = repeated ~setup analyze_with in
+      e10_row label sp
+        (Printf.sprintf " (%d decls; %d hits/%d misses)"
+           (List.length p.C_symbols.p_decls) hits misses);
+      Option.iter (fun key -> j10 key sp) key)
+    [ ("analysis, cold cache", None, cold);
+      ("analysis, warm cache (0 edits)", Some "analysis warm", warm);
+      ("analysis after editing 1 of 100 files", Some "analysis 1 edit", edited) ];
+  (* a crowded screen *)
+  let screen () =
+    let ns, sh, dir = project () in
+    (Help.create ~w:100 ~h:48 ns sh, dir)
+  in
+  let open_all (help, dir) =
+    for i = 0 to 39 do
+      ignore
+        (Help.open_file help ~dir:"/" (Printf.sprintf "%s/mod%03d.c" dir i))
+    done;
+    help
+  in
+  let crowded () = open_all (screen ()) in
   row "40 windows (processor time):\n";
-  row "  %-44s %8.1f ms\n" "open all" (t_open *. 1000.);
-  j10 "open 40 windows" (t_open *. 1000.);
-  let _, t_draw = time (fun () -> ignore (Help.draw help)) in
-  row "  %-44s %8.3f ms\n" "draw the whole screen" (t_draw *. 1000.);
-  j10 "draw whole screen" (t_draw *. 1000.);
+  let sp, _ = repeated ~setup:screen open_all in
+  e10_row "open all" sp "";
+  j10 "open 40 windows" sp;
+  let sp, _ = repeated ~setup:crowded (fun help -> ignore (Help.draw help)) in
+  e10_row "draw the whole screen" sp "";
+  j10 "draw whole screen" sp;
   (* damage-tracked drawing: a keystroke into one window should repaint
      that window alone, several times faster than repainting all 40.
      Both strategies are timed against the same damage — one typed
      character per frame — so each pays the same layout recompute of
      the edited body; only the painting differs.  The keystroke lands
      in the smallest window that shows a body. *)
-  let kx, ky =
-    let best = ref None in
-    List.iter
-      (fun col ->
-        List.iter
-          (fun g ->
-            if g.Hcol.g_h > 1 then
-              match !best with
-              | Some (_, _, h) when h <= g.Hcol.g_h -> ()
-              | _ -> best := Some (Hcol.x col + 2, g.Hcol.g_y + 1, g.Hcol.g_h))
-          (Hcol.geoms col ~h:(Help.height help)))
-      (Help.columns help);
-    match !best with Some (x, y, _) -> (x, y) | None -> (2, 2)
+  let keystrokes help =
+    let kx, ky =
+      let best = ref None in
+      List.iter
+        (fun col ->
+          List.iter
+            (fun g ->
+              if g.Hcol.g_h > 1 then
+                match !best with
+                | Some (_, _, h) when h <= g.Hcol.g_h -> ()
+                | _ -> best := Some (Hcol.x col + 2, g.Hcol.g_y + 1, g.Hcol.g_h))
+            (Hcol.geoms col ~h:(Help.height help)))
+        (Help.columns help);
+      match !best with Some (x, y, _) -> (x, y) | None -> (2, 2)
+    in
+    Help.event help (Help.Move (kx, ky));
+    ignore (Help.redraw help);
+    let kiters = 1000 in
+    let _, t_ev =
+      time (fun () ->
+          for _ = 1 to kiters do
+            Help.event help (Help.Key 'x')
+          done)
+    in
+    let t_ev1 = t_ev /. float_of_int kiters in
+    ignore (Help.redraw help);
+    let _, t_evfull =
+      time (fun () ->
+          for _ = 1 to kiters do
+            Help.event help (Help.Key 'x');
+            ignore (Help.draw_full help)
+          done)
+    in
+    let t_full1 = max 0. (t_evfull /. float_of_int kiters -. t_ev1) *. 1000. in
+    ignore (Help.redraw help);
+    let _, t_evdraw =
+      time (fun () ->
+          for _ = 1 to kiters do
+            Help.event help (Help.Key 'x');
+            ignore (Help.redraw help)
+          done)
+    in
+    let t_incr1 = max 0. (t_evdraw /. float_of_int kiters -. t_ev1) *. 1000. in
+    let _, t_clean =
+      time (fun () ->
+          for _ = 1 to kiters do
+            ignore (Help.redraw help)
+          done)
+    in
+    let t_clean1 = t_clean /. float_of_int kiters *. 1000. in
+    let identical =
+      Screen.equal (Screen.copy (Help.redraw help)) (Help.draw_full help)
+    in
+    (t_full1, t_incr1, t_clean1, identical, Help.draw_stats help)
   in
-  Help.event help (Help.Move (kx, ky));
-  ignore (Help.redraw help);
-  let kiters = 1000 in
-  let _, t_ev =
-    time (fun () ->
-        for _ = 1 to kiters do
-          Help.event help (Help.Key 'x')
-        done)
+  let runs = List.init e10_reps (fun _ -> keystrokes (crowded ())) in
+  let col f = spread (List.map f runs) in
+  let sp_full = col (fun (f, _, _, _, _) -> f) in
+  let sp_incr = col (fun (_, i, _, _, _) -> i) in
+  let sp_clean = col (fun (_, _, c, _, _) -> c) in
+  let sp_x = col (fun (f, i, _, _, _) -> f /. max 1e-9 i) in
+  let identical = List.for_all (fun (_, _, _, same, _) -> same) runs in
+  let draws, full, cols, wins, clean =
+    let _, _, _, _, ledger = List.nth runs (e10_reps - 1) in
+    ledger
   in
-  let t_ev1 = t_ev /. float_of_int kiters in
-  ignore (Help.redraw help);
-  let _, t_evfull =
-    time (fun () ->
-        for _ = 1 to kiters do
-          Help.event help (Help.Key 'x');
-          ignore (Help.draw_full help)
-        done)
-  in
-  let t_full1 = max 0. (t_evfull /. float_of_int kiters -. t_ev1) *. 1000. in
-  ignore (Help.redraw help);
-  let _, t_evdraw =
-    time (fun () ->
-        for _ = 1 to kiters do
-          Help.event help (Help.Key 'x');
-          ignore (Help.redraw help)
-        done)
-  in
-  let t_incr1 = max 0. (t_evdraw /. float_of_int kiters -. t_ev1) *. 1000. in
-  let _, t_clean =
-    time (fun () ->
-        for _ = 1 to kiters do
-          ignore (Help.redraw help)
-        done)
-  in
-  let t_clean1 = t_clean /. float_of_int kiters *. 1000. in
-  let identical =
-    Screen.equal (Screen.copy (Help.redraw help)) (Help.draw_full help)
-  in
-  let draws, full, cols, wins, clean = Help.draw_stats help in
-  row "  %-44s %8.4f ms\n" "keystroke + full draw from scratch (avg)" t_full1;
-  row "  %-44s %8.4f ms\n" "keystroke redraw, damage-tracked (avg)" t_incr1;
-  row "  %-44s %8.4f ms\n" "redraw with no damage (avg)" t_clean1;
-  row "  %-44s %8.1fx\n" "single-keystroke speedup vs full draw"
-    (t_full1 /. max 1e-9 t_incr1);
+  e10_row "keystroke + full draw from scratch (avg)" sp_full "";
+  e10_row "keystroke redraw, damage-tracked (avg)" sp_incr "";
+  e10_row "redraw with no damage (avg)" sp_clean "";
+  e10_row ~unit:"x " "single-keystroke speedup vs full draw" sp_x "";
   row "  incremental screen identical to from-scratch draw: %b\n" identical;
-  row "  draw ledger: %d draws = %d full + %d column + %d window repaints + %d clean\n"
+  row "  draw ledger (last run): %d draws = %d full + %d column + %d window \
+       repaints + %d clean\n"
     draws full cols wins clean;
-  j10 "full draw avg" t_full1;
-  j10 "keystroke redraw avg" t_incr1;
-  j10 "clean redraw avg" t_clean1;
-  j10 "keystroke speedup x" (t_full1 /. max 1e-9 t_incr1);
+  j10 "full draw avg" sp_full;
+  j10 "keystroke redraw avg" sp_incr;
+  j10 "clean redraw avg" sp_clean;
+  j10 "keystroke speedup x" sp_x;
   row "nothing on the interactive path grows past a few milliseconds.\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1015,6 +1129,9 @@ let e13_fleet pool ~clients ~batches =
   let screens = Array.init clients (fun _ -> Buffer.create 256) in
   let nb = Array.length batches in
   let g0 = Gc.quick_stat () in
+  (* [Gc.minor_words] counts every word; the quick_stat field moves only
+     at minor collections, so it would depend on the heap's fill *)
+  let w0 = Gc.minor_words () in
   let rec launch i k =
     let tickets = Nine.Pool.feed conns.(i) batches.(k) in
     let last = List.fold_left (fun _ t -> t) (-1) tickets in
@@ -1045,7 +1162,7 @@ let e13_fleet pool ~clients ~batches =
   Array.iter Nine.Pool.disconnect conns;
   {
     f_rpcs = rpcs;
-    f_minor = g1.Gc.minor_words -. g0.Gc.minor_words;
+    f_minor = Gc.minor_words () -. w0;
     f_majors = g1.Gc.major_collections - g0.Gc.major_collections;
     f_spread = spread;
     f_screens = Array.map Buffer.contents screens;
@@ -1474,10 +1591,11 @@ let e15_durability ~quick () =
 
 (* ------------------------------------------------------------------ *)
 (* gc-smoke: the allocation-regression gate.  Re-measures the E13
-   minor-allocation-per-RPC at smoke scale and fails if it regressed
-   more than 25% against the ledgered baseline in BENCH_results.json
-   (allocation counts are deterministic, unlike wall time, so the
-   threshold does not flake). *)
+   minor-allocation-per-RPC at smoke scale and the C front end's
+   minor words per unit (E4), and fails if either regressed more than
+   25% against its ledgered baseline in BENCH_results.json (allocation
+   counts are deterministic, unlike wall time, so the threshold does
+   not flake). *)
 
 let ledger_float path key =
   match open_in path with
@@ -1490,10 +1608,31 @@ let ledger_float path key =
       (match Hstr.find s ~sub:pat with
       | None -> None
       | Some at ->
-          let rest = String.sub s (at + String.length pat)
-              (min 64 (String.length s - at - String.length pat)) in
-          let num = String.trim (List.hd (String.split_on_char ',' rest)) in
-          float_of_string_opt num)
+          (* the number after the key, whether a comma or the block's
+             closing brace follows it *)
+          let numeric c = String.contains "0123456789.-+e" c in
+          let i = ref (at + String.length pat) in
+          while !i < String.length s && s.[!i] = ' ' do incr i done;
+          let j = ref !i in
+          while !j < String.length s && numeric s.[!j] do incr j done;
+          float_of_string_opt (String.sub s !i (!j - !i)))
+
+(* One figure against its ledgered baseline; false past 1.25x. *)
+let gc_check what key current =
+  match ledger_float "BENCH_results.json" key with
+  | None ->
+      Printf.printf "gc-smoke: ok (%.1f %s; no ledgered baseline to compare)\n"
+        current what;
+      true
+  | Some baseline when current > baseline *. 1.25 ->
+      Printf.printf
+        "gc-smoke FAIL: %.1f %s vs ledgered %.1f (>25%% regression)\n" current
+        what baseline;
+      false
+  | Some baseline ->
+      Printf.printf "gc-smoke: ok (%.1f %s vs ledgered %.1f)\n" current what
+        baseline;
+      true
 
 let gc_smoke () =
   let s = Session.boot () in
@@ -1501,27 +1640,15 @@ let gc_smoke () =
   (* warm once so one-time lazy setup is not billed to the measurement *)
   ignore (e13_fleet s.Session.pool ~clients:1 ~batches);
   let o = e13_fleet s.Session.pool ~clients:256 ~batches in
-  let current = o.f_minor /. float_of_int o.f_rpcs in
-  match ledger_float "BENCH_results.json" "minor_words_per_rpc_smoke" with
-  | None ->
-      Printf.printf
-        "gc-smoke: ok (%.1f minor words/RPC; no ledgered baseline to \
-         compare)\n"
-        current;
-      exit 0
-  | Some baseline ->
-      if current > baseline *. 1.25 then begin
-        Printf.printf
-          "gc-smoke FAIL: %.1f minor words/RPC vs ledgered %.1f (>25%% \
-           regression)\n"
-          current baseline;
-        exit 1
-      end
-      else begin
-        Printf.printf "gc-smoke: ok (%.1f minor words/RPC vs ledgered %.1f)\n"
-          current baseline;
-        exit 0
-      end
+  let rpc =
+    gc_check "minor words/RPC" "minor_words_per_rpc_smoke"
+      (o.f_minor /. float_of_int o.f_rpcs)
+  in
+  let cbr =
+    gc_check "C front-end minor words/unit" "cbr_minor_words_per_unit_smoke"
+      (cbr_words_per_unit ())
+  in
+  exit (if rpc && cbr then 0 else 1)
 
 (* ------------------------------------------------------------------ *)
 (* E16: the manual as an application — the model's totals and the

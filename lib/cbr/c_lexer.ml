@@ -3,7 +3,12 @@
    Input is preprocessed text: [# line "file"] markers (as emitted by
    our cpp) reset the position so declarations found in included headers
    report their true coordinates — that is what lets [decl] fetch a
-   declaration "from whatever file in which it resides". *)
+   declaration "from whatever file in which it resides".
+
+   One pass over the bytes that allocates little: punctuators dispatch
+   on their first byte, a literal's body is one substring (escapes are
+   kept verbatim), every token of one (file, line) run shares one [pos]
+   record, and the list is built front to back. *)
 
 type pos = { file : string; line : int }
 
@@ -18,14 +23,7 @@ type token =
 
 type spanned = { tok : token; pos : pos }
 
-let keywords =
-  [
-    "auto"; "break"; "case"; "char"; "const"; "continue"; "default"; "do";
-    "double"; "else"; "enum"; "extern"; "float"; "for"; "goto"; "if"; "int";
-    "long"; "register"; "return"; "short"; "signed"; "sizeof"; "static";
-    "struct"; "switch"; "typedef"; "union"; "unsigned"; "void"; "volatile";
-    "while";
-  ]
+exception Lex_error of string * pos
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
@@ -34,24 +32,26 @@ let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
 let is_digit c = c >= '0' && c <= '9'
 
-(* Multi-character punctuators, longest first. *)
-let puncts =
-  [
-    "<<="; ">>="; "..."; "->"; "++"; "--"; "<<"; ">>"; "<="; ">="; "==";
-    "!="; "&&"; "||"; "+="; "-="; "*="; "/="; "%="; "&="; "^="; "|=";
-  ]
-
-exception Lex_error of string * pos
+(* the 1-byte punctuators: one token per byte, made once *)
+let single = Array.init 256 (fun c -> Punct (String.make 1 (Char.chr c)))
 
 let tokenize ~file src =
   let n = String.length src in
   let pos = ref 0 in
   let cur_file = ref file in
   let cur_line = ref 1 in
-  let toks = ref [] in
-  let here () = { file = !cur_file; line = !cur_line } in
-  let emit tok p = toks := { tok; pos = p } :: !toks in
-  let peek i = if !pos + i < n then Some src.[!pos + i] else None in
+  (* one [pos] per (file, line) run, shared by its tokens: nothing
+     compares positions physically, so the sharing is invisible *)
+  let last = ref { file; line = 1 } in
+  let here () =
+    let p = !last in
+    if p.line = !cur_line && p.file == !cur_file then p
+    else begin
+      let p = { file = !cur_file; line = !cur_line } in
+      last := p;
+      p
+    end
+  in
   let fail msg = raise (Lex_error (msg, here ())) in
   let line_directive () =
     (* '# <num> "file"' or '#include ...' or other cpp residue: consume
@@ -75,110 +75,135 @@ let tokenize ~file src =
         cur_file := String.sub name 1 (String.length name - 2)
     | _ -> ()
   in
-  while !pos < n do
-    match src.[!pos] with
-    | ' ' | '\t' | '\r' -> incr pos
-    | '\n' ->
-        incr cur_line;
-        incr pos
-    | '#' -> line_directive ()
-    | '/' when peek 1 = Some '*' ->
-        pos := !pos + 2;
-        let rec skip () =
-          if !pos + 1 >= n then fail "unterminated comment"
-          else if src.[!pos] = '*' && src.[!pos + 1] = '/' then pos := !pos + 2
-          else begin
-            if src.[!pos] = '\n' then incr cur_line;
-            incr pos;
-            skip ()
-          end
-        in
-        skip ()
-    | '/' when peek 1 = Some '/' ->
-        while !pos < n && src.[!pos] <> '\n' do
-          incr pos
-        done
-    | '"' ->
-        let p = here () in
-        incr pos;
-        let b = Buffer.create 16 in
-        let rec go () =
-          if !pos >= n then fail "unterminated string"
-          else
-            match src.[!pos] with
-            | '"' -> incr pos
-            | '\\' when !pos + 1 < n ->
-                Buffer.add_char b src.[!pos];
-                Buffer.add_char b src.[!pos + 1];
-                pos := !pos + 2;
-                go ()
-            | '\n' -> fail "newline in string"
-            | c ->
-                Buffer.add_char b c;
-                incr pos;
-                go ()
-        in
-        go ();
-        emit (Str_lit (Buffer.contents b)) p
-    | '\'' ->
-        let p = here () in
-        incr pos;
-        let b = Buffer.create 4 in
-        let rec go () =
-          if !pos >= n then fail "unterminated char literal"
-          else
-            match src.[!pos] with
-            | '\'' -> incr pos
-            | '\\' when !pos + 1 < n ->
-                Buffer.add_char b src.[!pos];
-                Buffer.add_char b src.[!pos + 1];
-                pos := !pos + 2;
-                go ()
-            | c ->
-                Buffer.add_char b c;
-                incr pos;
-                go ()
-        in
-        go ();
-        emit (Char_lit (Buffer.contents b)) p
-    | c when is_ident_start c ->
-        let p = here () in
-        let start = !pos in
-        while !pos < n && is_ident_char src.[!pos] do
-          incr pos
-        done;
-        let s = String.sub src start (!pos - start) in
-        emit (if List.mem s keywords then Keyword s else Ident s) p
-    | c when is_digit c ->
-        let p = here () in
-        let start = !pos in
-        while
-          !pos < n
-          && (is_ident_char src.[!pos] || src.[!pos] = '.'
-             || ((src.[!pos] = '+' || src.[!pos] = '-')
-                && !pos > start
-                && (src.[!pos - 1] = 'e' || src.[!pos - 1] = 'E')))
-        do
-          incr pos
-        done;
-        emit (Int_lit (String.sub src start (!pos - start))) p
-    | _ ->
-        let p = here () in
-        let matched =
-          List.find_opt
-            (fun punct ->
-              let l = String.length punct in
-              !pos + l <= n && String.sub src !pos l = punct)
-            puncts
-        in
-        (match matched with
-        | Some punct ->
-            pos := !pos + String.length punct;
-            emit (Punct punct) p
-        | None ->
-            let c = src.[!pos] in
-            incr pos;
-            emit (Punct (String.make 1 c)) p)
-  done;
-  emit Eof (here ());
-  List.rev !toks
+  (* The body of a literal opened at [!pos] by [quote], up to its
+     closing quote; a backslash takes the next byte with it, newline
+     included, and the line count does not advance inside. *)
+  let literal quote ~unterminated ~newline =
+    let start = !pos + 1 in
+    let j = ref start in
+    while
+      if !j >= n then fail unterminated
+      else
+        match String.unsafe_get src !j with
+        | '\\' when !j + 1 < n -> j := !j + 2; true
+        | '\n' when newline -> fail "newline in string"
+        | c -> c <> quote && (incr j; true)
+    do
+      ()
+    done;
+    pos := !j + 1;
+    String.sub src start (!j - start)
+  in
+  let ident_or_keyword s =
+    match s with
+    | "auto" | "break" | "case" | "char" | "const" | "continue" | "default"
+    | "do" | "double" | "else" | "enum" | "extern" | "float" | "for" | "goto"
+    | "if" | "int" | "long" | "register" | "return" | "short" | "signed"
+    | "sizeof" | "static" | "struct" | "switch" | "typedef" | "union"
+    | "unsigned" | "void" | "volatile" | "while" ->
+        Keyword s
+    | _ -> Ident s
+  in
+  (* The punctuator at [i], the longest that matches: [Punct p] consumes
+     [String.length p] bytes.  A constant [Punct "..."] is static data
+     and the 1-byte ones come from [single], so none is allocated. *)
+  let punct i =
+    let at k c = i + k < n && String.unsafe_get src (i + k) = c in
+    let c = src.[i] in
+    let one = single.(Char.code c) in
+    match c with
+    | '<' -> if at 1 '<' then (if at 2 '=' then Punct "<<=" else Punct "<<")
+             else if at 1 '=' then Punct "<=" else one
+    | '>' -> if at 1 '>' then (if at 2 '=' then Punct ">>=" else Punct ">>")
+             else if at 1 '=' then Punct ">=" else one
+    | '.' -> if at 1 '.' && at 2 '.' then Punct "..." else one
+    | '-' -> if at 1 '>' then Punct "->" else if at 1 '-' then Punct "--"
+             else if at 1 '=' then Punct "-=" else one
+    | '+' -> if at 1 '+' then Punct "++" else if at 1 '=' then Punct "+=" else one
+    | '&' -> if at 1 '&' then Punct "&&" else if at 1 '=' then Punct "&=" else one
+    | '|' -> if at 1 '|' then Punct "||" else if at 1 '=' then Punct "|=" else one
+    | '=' -> if at 1 '=' then Punct "==" else one
+    | '!' -> if at 1 '=' then Punct "!=" else one
+    | '*' -> if at 1 '=' then Punct "*=" else one
+    | '/' -> if at 1 '=' then Punct "/=" else one
+    | '%' -> if at 1 '=' then Punct "%=" else one
+    | '^' -> if at 1 '=' then Punct "^=" else one
+    | _ -> one
+  in
+  (* The next token, past blanks, comments and directives. *)
+  let rec next () =
+    if !pos >= n then { tok = Eof; pos = here () }
+    else
+      match String.unsafe_get src !pos with
+      | ' ' | '\t' | '\r' ->
+          incr pos;
+          next ()
+      | '\n' ->
+          incr cur_line;
+          incr pos;
+          next ()
+      | '#' ->
+          line_directive ();
+          next ()
+      | '/' when !pos + 1 < n && src.[!pos + 1] = '*' ->
+          pos := !pos + 2;
+          while
+            if !pos + 1 >= n then fail "unterminated comment"
+            else if src.[!pos] = '*' && src.[!pos + 1] = '/' then false
+            else begin
+              if src.[!pos] = '\n' then incr cur_line;
+              incr pos;
+              true
+            end
+          do
+            ()
+          done;
+          pos := !pos + 2;
+          next ()
+      | '/' when !pos + 1 < n && src.[!pos + 1] = '/' ->
+          while !pos < n && src.[!pos] <> '\n' do
+            incr pos
+          done;
+          next ()
+      | '"' ->
+          let body =
+            literal '"' ~unterminated:"unterminated string" ~newline:true
+          in
+          { tok = Str_lit body; pos = here () }
+      | '\'' ->
+          let body =
+            literal '\'' ~unterminated:"unterminated char literal"
+              ~newline:false
+          in
+          { tok = Char_lit body; pos = here () }
+      | c when is_ident_start c ->
+          let start = !pos in
+          while !pos < n && is_ident_char src.[!pos] do
+            incr pos
+          done;
+          let s = String.sub src start (!pos - start) in
+          { tok = ident_or_keyword s; pos = here () }
+      | c when is_digit c ->
+          let start = !pos in
+          while
+            !pos < n
+            && (is_ident_char src.[!pos] || src.[!pos] = '.'
+               || ((src.[!pos] = '+' || src.[!pos] = '-')
+                  && (src.[!pos - 1] = 'e' || src.[!pos - 1] = 'E')))
+          do
+            incr pos
+          done;
+          let s = String.sub src start (!pos - start) in
+          { tok = Int_lit s; pos = here () }
+      | _ ->
+          let tok = punct !pos in
+          (match tok with Punct p -> pos := !pos + String.length p | _ -> ());
+          { tok; pos = here () }
+  in
+  (* built front to back: no reversal *)
+  let[@tail_mod_cons] rec tokens () =
+    match next () with
+    | { tok = Eof; _ } as t -> [ t ]
+    | t -> t :: tokens ()
+  in
+  tokens ()

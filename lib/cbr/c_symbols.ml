@@ -63,8 +63,14 @@ type ev =
   | E_decl of decl  (* a new declaration; [d_id] is unit-local *)
   | E_occ of { e_name : string; e_pos : C_lexer.pos; e_res : eres; e_is_decl : bool }
 
+(* The parser walks the lexer's token list in place: [cur] is the
+   current token, [rest] the ones after it, [prev] the one before, and
+   [at] counts advances so callers can tell whether a step made
+   progress. *)
 type state = {
-  toks : C_lexer.spanned array;
+  mutable cur : C_lexer.spanned;
+  mutable rest : C_lexer.spanned list;
+  mutable prev : C_lexer.token;
   mutable at : int;
   mutable scopes : (string, decl) Hashtbl.t list;
   tags : (string, decl) Hashtbl.t;
@@ -77,12 +83,20 @@ type state = {
   mutable events : ev list;  (* newest first *)
 }
 
-let peek st = st.toks.(st.at).C_lexer.tok
+let peek st = st.cur.C_lexer.tok
 let peek2 st =
-  if st.at + 1 < Array.length st.toks then st.toks.(st.at + 1).C_lexer.tok
-  else C_lexer.Eof
-let pos st = st.toks.(st.at).C_lexer.pos
-let advance st = if st.at < Array.length st.toks - 1 then st.at <- st.at + 1
+  match st.rest with t :: _ -> t.C_lexer.tok | [] -> C_lexer.Eof
+let pos st = st.cur.C_lexer.pos
+
+(* Never steps past the last token, the lexer's [Eof]. *)
+let advance st =
+  match st.rest with
+  | t :: rest ->
+      st.prev <- st.cur.C_lexer.tok;
+      st.cur <- t;
+      st.rest <- rest;
+      st.at <- st.at + 1
+  | [] -> ()
 
 let error st msg = st.errors <- (msg, pos st) :: st.errors
 let emit st e = if st.track then st.events <- e :: st.events
@@ -221,11 +235,8 @@ let scan_expr st stops =
         end
     | C_lexer.Ident name ->
         (* Not a member name after '.' or '->'. *)
-        let prev =
-          if st.at > 0 then Some st.toks.(st.at - 1).C_lexer.tok else None
-        in
-        (match prev with
-        | Some (C_lexer.Punct ".") | Some (C_lexer.Punct "->") -> ()
+        (match st.prev with
+        | C_lexer.Punct ("." | "->") -> ()
         | _ -> record_use st name (pos st));
         advance st
     | C_lexer.Keyword ("struct" | "union" | "enum") ->
@@ -533,9 +544,13 @@ and parse_statement st =
       scan_expr st [ ";" ];
       (match peek st with C_lexer.Punct ";" -> advance st | _ -> ())
 
+let no_token = { C_lexer.tok = C_lexer.Eof; pos = { C_lexer.file = ""; line = 0 } }
+
 let create_state ?(track = false) () =
   {
-    toks = [||];
+    cur = no_token;
+    rest = [];
+    prev = C_lexer.Eof;
     at = 0;
     scopes = [ Hashtbl.create 64 ];
     tags = Hashtbl.create 32;
@@ -552,7 +567,10 @@ let create_state ?(track = false) () =
    (cross-file resolution: all of *.c sees the same globals, as the
    linker would arrange). *)
 let parse_unit st toks =
-  let st' = { st with toks = Array.of_list toks; at = 0 } in
+  let cur, rest =
+    match toks with t :: rest -> (t, rest) | [] -> (no_token, [])
+  in
+  let st' = { st with cur; rest; prev = C_lexer.Eof; at = 0 } in
   (* keep only the global scope between units *)
   let rec globals = function [ g ] -> [ g ] | _ :: r -> globals r | [] -> [] in
   st'.scopes <- globals st.scopes;

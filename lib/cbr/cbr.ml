@@ -318,46 +318,50 @@ let rcc_native proc args =
     Buffer.add_string (Rc.proc_err proc) "rcc: no identifier (-i)\n";
     1
   end
-  else begin
-    let p = rcc_program (Rc.proc_stdin proc) in
-    (* If no position was given, use the identifier's first occurrence. *)
-    let file, line =
-      if !line > 0 && !file <> "" then (!file, !line)
-      else
-        match
-          List.find_opt
-            (fun (o : C_symbols.occurrence) -> o.o_name = !ident)
-            p.C_symbols.p_occs
-        with
-        | Some o -> (o.o_pos.file, o.o_pos.line)
-        | None -> (!file, !line)
-    in
-    if !uses then begin
-      match uses_of p ~file ~line ~name:!ident with
-      | [] ->
-          Buffer.add_string (Rc.proc_err proc)
-            (Printf.sprintf "rcc: %s: no references found\n" !ident);
-          1
-      | refs ->
-          List.iter
-            (fun (f, l) ->
+  else
+    match rcc_program (Rc.proc_stdin proc) with
+    | exception C_lexer.Lex_error (msg, pos) ->
+        Buffer.add_string (Rc.proc_err proc)
+          (Printf.sprintf "rcc: %s:%d: %s\n" pos.file pos.line msg);
+        1
+    | p ->
+        (* If no position was given, use the identifier's first occurrence. *)
+        let file, line =
+          if !line > 0 && !file <> "" then (!file, !line)
+          else
+            match
+              List.find_opt
+                (fun (o : C_symbols.occurrence) -> o.o_name = !ident)
+                p.C_symbols.p_occs
+            with
+            | Some o -> (o.o_pos.file, o.o_pos.line)
+            | None -> (!file, !line)
+        in
+        if !uses then begin
+          match uses_of p ~file ~line ~name:!ident with
+          | [] ->
+              Buffer.add_string (Rc.proc_err proc)
+                (Printf.sprintf "rcc: %s: no references found\n" !ident);
+              1
+          | refs ->
+              List.iter
+                (fun (f, l) ->
+                  Buffer.add_string (Rc.proc_out proc)
+                    (Printf.sprintf "%s:%d\n" f l))
+                refs;
+              0
+        end
+        else begin
+          match decl_of p ~file ~line ~name:!ident with
+          | Some (f, l, kind) ->
               Buffer.add_string (Rc.proc_out proc)
-                (Printf.sprintf "%s:%d\n" f l))
-            refs;
-          0
-    end
-    else begin
-      match decl_of p ~file ~line ~name:!ident with
-      | Some (f, l, kind) ->
-          Buffer.add_string (Rc.proc_out proc)
-            (Printf.sprintf "%s:%d	/* declaration of %s (%s) */\n" f l !ident kind);
-          0
-      | None ->
-          Buffer.add_string (Rc.proc_err proc)
-            (Printf.sprintf "rcc: %s: declaration not found\n" !ident);
-          1
-    end
-  end
+                (Printf.sprintf "%s:%d	/* declaration of %s (%s) */\n" f l !ident kind);
+              0
+          | None ->
+              Buffer.add_string (Rc.proc_err proc)
+                (Printf.sprintf "rcc: %s: declaration not found\n" !ident);
+              1
+        end
 
 (* ------------------------------------------------------------------ *)
 (* Tool scripts                                                        *)

@@ -32,7 +32,11 @@ val index_stats : index -> int * int
 (** Analyze source files as one program (shared globals, as the linker
     would arrange).  With [?index], units are parsed in isolation,
     cached by content digest, and linked by event replay; the result is
-    equal to the uncached analysis. *)
+    equal to the uncached analysis.  Parse errors are collected in the
+    result's [p_errors].
+    @raise C_lexer.Lex_error on text the lexer cannot split into
+    tokens: an unterminated comment, string or character literal, or a
+    newline inside a string. *)
 val analyze : ?index:index -> Vfs.t -> cwd:string -> string list -> program
 
 (** The declaration position of the identifier [name] occurring at

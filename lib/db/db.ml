@@ -78,48 +78,49 @@ let vc_native proc args =
   | [] ->
       Buffer.add_string (Rc.proc_err proc) "vc: no input files\n";
       1
-  | [ file ] ->
+  | [ file ] -> (
       let ns = Rc.proc_ns proc in
       let cwd = Rc.proc_cwd proc in
-      let p = Cbr.analyze ns ~cwd [ file ] in
-      if p.C_symbols.p_errors <> [] then begin
-        List.iter
-          (fun (msg, (pos : C_lexer.pos)) ->
-            Buffer.add_string (Rc.proc_err proc)
-              (Printf.sprintf "vc: %s:%d: %s\n" pos.file pos.line msg))
-          p.C_symbols.p_errors;
-        1
-      end
-      else begin
-        let b = Buffer.create 256 in
-        Buffer.add_string b (object_magic ^ "\n");
-        Buffer.add_string b (Printf.sprintf "unit %s\n" file);
-        List.iter
-          (fun (d : C_symbols.decl) ->
-            if d.d_global then
-              match d.d_kind with
-              | C_symbols.Kfunc ->
-                  Buffer.add_string b
-                    (Printf.sprintf "func %s %s %d\n" d.d_name d.d_pos.file
-                       d.d_pos.line)
-              | C_symbols.Kvar ->
-                  Buffer.add_string b
-                    (Printf.sprintf "global %s %s %d\n" d.d_name d.d_pos.file
-                       d.d_pos.line)
-              | _ -> ())
-          p.C_symbols.p_decls;
-        let stem =
-          match String.rindex_opt file '.' with
-          | Some i -> String.sub file 0 i
-          | None -> file
-        in
-        let out = if !out_name <> "" then !out_name else stem ^ ".v" in
-        let out_path =
-          if starts_with "/" out then out else Vfs.normalize (cwd ^ "/" ^ out)
-        in
-        Vfs.write_file ns out_path (Buffer.contents b);
-        0
-      end
+      let report (msg, (pos : C_lexer.pos)) =
+        Buffer.add_string (Rc.proc_err proc)
+          (Printf.sprintf "vc: %s:%d: %s\n" pos.file pos.line msg)
+      in
+      match Cbr.analyze ns ~cwd [ file ] with
+      | exception C_lexer.Lex_error (msg, pos) ->
+          report (msg, pos);
+          1
+      | p when p.C_symbols.p_errors <> [] ->
+          List.iter report p.C_symbols.p_errors;
+          1
+      | p ->
+          let b = Buffer.create 256 in
+          Buffer.add_string b (object_magic ^ "\n");
+          Buffer.add_string b (Printf.sprintf "unit %s\n" file);
+          List.iter
+            (fun (d : C_symbols.decl) ->
+              if d.d_global then
+                match d.d_kind with
+                | C_symbols.Kfunc ->
+                    Buffer.add_string b
+                      (Printf.sprintf "func %s %s %d\n" d.d_name d.d_pos.file
+                         d.d_pos.line)
+                | C_symbols.Kvar ->
+                    Buffer.add_string b
+                      (Printf.sprintf "global %s %s %d\n" d.d_name d.d_pos.file
+                         d.d_pos.line)
+                | _ -> ())
+            p.C_symbols.p_decls;
+          let stem =
+            match String.rindex_opt file '.' with
+            | Some i -> String.sub file 0 i
+            | None -> file
+          in
+          let out = if !out_name <> "" then !out_name else stem ^ ".v" in
+          let out_path =
+            if starts_with "/" out then out else Vfs.normalize (cwd ^ "/" ^ out)
+          in
+          Vfs.write_file ns out_path (Buffer.contents b);
+          0)
   | _ ->
       Buffer.add_string (Rc.proc_err proc) "vc: one file at a time\n";
       1

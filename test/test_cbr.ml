@@ -10,6 +10,51 @@ let fresh () =
   Corpus.install ns;
   ns
 
+(* A lexer's result in a form both lexers share: each token with its
+   (file, line), or the error and its position. *)
+type lexed = ((string * string * int) list, string * string * int) result
+
+let lexed : lexed Alcotest.testable =
+  Alcotest.(result (list (triple string string int)) (triple string string int))
+
+let lex ~file text : lexed =
+  let show = function
+    | C_lexer.Ident s -> "id " ^ s
+    | C_lexer.Keyword s -> "kw " ^ s
+    | C_lexer.Int_lit s -> "int " ^ s
+    | C_lexer.Char_lit s -> "chr " ^ s
+    | C_lexer.Str_lit s -> "str " ^ s
+    | C_lexer.Punct s -> "op " ^ s
+    | C_lexer.Eof -> "eof"
+  in
+  match C_lexer.tokenize ~file text with
+  | toks ->
+      Ok
+        (List.map
+           (fun (t : C_lexer.spanned) -> (show t.tok, t.pos.file, t.pos.line))
+           toks)
+  | exception C_lexer.Lex_error (msg, p) -> Error (msg, p.file, p.line)
+  | exception Failure msg -> Error (msg, "", 0)
+
+let lex_ref ~file text : lexed =
+  let show = function
+    | C_lexer_ref.Ident s -> "id " ^ s
+    | C_lexer_ref.Keyword s -> "kw " ^ s
+    | C_lexer_ref.Int_lit s -> "int " ^ s
+    | C_lexer_ref.Char_lit s -> "chr " ^ s
+    | C_lexer_ref.Str_lit s -> "str " ^ s
+    | C_lexer_ref.Punct s -> "op " ^ s
+    | C_lexer_ref.Eof -> "eof"
+  in
+  match C_lexer_ref.tokenize ~file text with
+  | toks ->
+      Ok
+        (List.map
+           (fun (t : C_lexer_ref.spanned) -> (show t.tok, t.pos.file, t.pos.line))
+           toks)
+  | exception C_lexer_ref.Lex_error (msg, p) -> Error (msg, p.file, p.line)
+  | exception Failure msg -> Error (msg, "", 0)
+
 let lexer_tests =
   [
     Alcotest.test_case "identifiers, keywords, punctuation" `Quick (fun () ->
@@ -64,7 +109,79 @@ let lexer_tests =
             toks
         in
         Alcotest.(check (list string)) "ops" [ "->"; ">>=" ] puncts);
+    Alcotest.test_case "agrees with the reference on the corpora" `Quick
+      (fun () ->
+        let ns = fresh () in
+        let dir = Corpus.install_synthetic ns ~modules:120 in
+        let units =
+          List.map (fun f -> (Corpus.src_dir, f)) Corpus.c_files
+          @ List.init 120 (fun i -> (dir, Printf.sprintf "mod%03d.c" i))
+        in
+        List.iter
+          (fun (dir, file) ->
+            let raw = Vfs.read_file ns (dir ^ "/" ^ file) in
+            let preprocessed = Cbr.preprocess ns ~dir file in
+            List.iter
+              (fun text ->
+                Alcotest.check lexed file (lex_ref ~file text) (lex ~file text))
+              [ raw; preprocessed ])
+          units);
   ]
+
+(* The seed lexer (test/c_lexer_ref.ml) is the reference: on text mixing
+   raw bytes with the constructs whose edges the lexer special-cases,
+   both give the same tokens at the same (file, line), or the same
+   Lex_error at the same position. *)
+let multi_puncts =
+  [ "<<="; ">>="; "..."; "->"; "++"; "--"; "<<"; ">>"; "<="; ">="; "==";
+    "!="; "&&"; "||"; "+="; "-="; "*="; "/="; "%="; "&="; "^="; "|=" ]
+
+let lex_fragments =
+  [
+    (* line markers, a name with spaces, other cpp residue *)
+    "# 12 \"a b.h\"\n"; "# 3 \"x.h\"\n"; "#\t40 \"t.h\" 2\n";
+    "#include <u.h>\n"; "#\n"; "# 7\n"; "#";
+    (* comments *)
+    "/* c */"; "/*\n\n*/"; "/**/"; "// line\n"; "//";
+    (* literals: escaped quotes, backslash-newline, a newline in a char *)
+    "\"a\\\"b\""; "'\\''"; "\"x\\\ny\""; "'\\\n'"; "'a'"; "\"\""; "'\n'";
+    (* unterminated strings, chars and comments *)
+    "\""; "'"; "/*"; "\"ab\ncd"; "'ab"; "\"\\";
+    (* numbers and exponents *)
+    "1e-3"; "2E+10"; "0x1e+5"; "3.14"; "1.";
+    (* NUL, form feed, vertical tab, bytes >= 0x80 *)
+    "\000"; "\012"; "\011"; "\x80"; "\xff";
+    (* words, space *)
+    "int"; "while"; "x1"; "_"; " "; "\n"; "\t"; "\r"; "\\";
+  ]
+  @ multi_puncts
+
+let lex_text_gen =
+  QCheck.Gen.(
+    let piece =
+      frequency
+        [ (3, oneofl lex_fragments);
+          (1, map (fun c -> String.make 1 (Char.chr c)) (int_range 0 255)) ]
+    in
+    (* every multi-byte punctuator, also cut off at the end of input *)
+    let tail =
+      oneof
+        [ return "";
+          oneofl multi_puncts;
+          map
+            (fun (p, k) -> String.sub p 0 (1 + (k mod (String.length p - 1))))
+            (pair (oneofl multi_puncts) (int_range 0 1)) ]
+    in
+    map2
+      (fun ps tail -> String.concat "" ps ^ tail)
+      (list_size (int_range 0 40) piece)
+      tail)
+
+let prop_lexer_vs_reference =
+  QCheck.Test.make ~name:"agrees with the reference on generated text"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") lex_text_gen)
+    (fun text -> lex ~file:"t.c" text = lex_ref ~file:"t.c" text)
 
 let cpp_tests =
   [
@@ -111,6 +228,37 @@ let cpp_tests =
            let rec f i = i + n <= m && (String.sub text i n = needle || f (i + 1)) in
            f 0));
   ]
+
+(* Every decl, occurrence and error of a program, one per line. *)
+let program_text (p : C_symbols.program) =
+  let b = Buffer.create 65536 in
+  let at (q : C_lexer.pos) = Printf.sprintf "%s:%d" q.file q.line in
+  List.iter
+    (fun (d : C_symbols.decl) ->
+      Printf.bprintf b "decl %d %s %s %s%s\n" d.d_id d.d_name
+        (C_symbols.kind_name d.d_kind) (at d.d_pos)
+        (if d.d_global then " global" else ""))
+    p.p_decls;
+  List.iter
+    (fun (o : C_symbols.occurrence) ->
+      Printf.bprintf b "%s %s %s -> %s\n"
+        (if o.o_is_decl then "def" else "use")
+        o.o_name (at o.o_pos)
+        (match o.o_decl with Some id -> string_of_int id | None -> "extern"))
+    p.p_occs;
+  List.iter
+    (fun (msg, q) -> Printf.bprintf b "error %s %s\n" (at q) msg)
+    p.p_errors;
+  Buffer.contents b
+
+(* a unit that walks the parser's error and recovery paths *)
+let malformed =
+  "int f(int a, 3) { return a; }\n\
+   int g(void) { x.y->z = sizeof(struct S); p->q = 1; }\n\
+   struct T { int k } t;\n\
+   int h = , ;\n\
+   ) ] int late;\n\
+   int ((( {{{ ;;; broken ***\n"
 
 let analysis_tests =
   [
@@ -188,6 +336,25 @@ let analysis_tests =
         let semantic = List.length (Cbr.uses_of p ~file:"exec.c" ~line ~name:"n") in
         let textual = Cbr.grep_count ns ~cwd:Corpus.src_dir Corpus.c_files "n" in
         check_bool "at least 20x fewer" true (textual > 20 * semantic));
+    (* The digests were recorded with the parser that indexed an array
+       of tokens, so they hold today's parser to that one's output. *)
+    Alcotest.test_case "printouts match the recorded digests" `Quick
+      (fun () ->
+        let ns = fresh () in
+        let dir = Corpus.install_synthetic ns ~modules:120 in
+        let units = List.init 120 (fun i -> Printf.sprintf "mod%03d.c" i) in
+        Vfs.mkdir_p ns "/m";
+        Vfs.write_file ns "/m/bad.c" malformed;
+        let digest p = Digest.to_hex (Digest.string (program_text p)) in
+        check_str "13-unit corpus" "1159d533bbee2e53150d024f9999873e"
+          (digest (Cbr.analyze ns ~cwd:Corpus.src_dir Corpus.c_files));
+        check_str "120-unit synthetic" "da01ce9672e5e55e3fa6882958ecf7e5"
+          (digest (Cbr.analyze ns ~cwd:dir units));
+        check_str "120-unit synthetic, indexed"
+          "da01ce9672e5e55e3fa6882958ecf7e5"
+          (digest (Cbr.analyze ~index:(Cbr.create_index ()) ns ~cwd:dir units));
+        check_str "malformed unit" "24e3d77dc122360623c167a1ad7ba3cc"
+          (digest (Cbr.analyze ns ~cwd:"/m" [ "bad.c" ])));
   ]
 
 (* parser robustness: C shapes beyond the corpus *)
@@ -300,12 +467,29 @@ let pipeline_tests =
         Cbr.install sh;
         let r = Rc.run sh ~cwd:Corpus.src_dir "cpp exec.c | rcc -izzz" in
         check_bool "fails" true (r.Rc.r_status <> 0));
+    Alcotest.test_case "rcc reports a lexical error with status 1" `Quick
+      (fun () ->
+        let ns = fresh () in
+        let sh = Rc.create ns in
+        Coreutils.install sh;
+        Cbr.install sh;
+        List.iter
+          (fun (text, want) ->
+            Vfs.write_file ns (Corpus.src_dir ^ "/bad.c") text;
+            let r = Rc.run sh ~cwd:Corpus.src_dir "cpp bad.c | rcc -ia" in
+            check_int "status" 1 r.Rc.r_status;
+            check_str "message" want r.Rc.r_err)
+          [ ("int a;\n/* never closed\n", "rcc: bad.c:3: unterminated comment\n");
+            ("char *a = \"abc;\nint y;\n", "rcc: bad.c:1: newline in string\n") ]);
   ]
 
 let () =
   Alcotest.run "cbr"
     [
-      ("lexer", lexer_tests);
+      ( "lexer",
+        lexer_tests
+        @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |])
+              prop_lexer_vs_reference ] );
       ("cpp", cpp_tests);
       ("analysis", analysis_tests);
       ("snippets", snippet_tests);

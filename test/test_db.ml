@@ -38,6 +38,17 @@ let toolchain_tests =
         let r = Rc.run sh ~cwd:Corpus.src_dir "vc -w bad.c" in
         check_bool "fails" true (r.Rc.r_status <> 0);
         check_bool "diagnostic" true (String.length r.Rc.r_err > 0));
+    Alcotest.test_case "vc reports a lexical error with status 1" `Quick
+      (fun () ->
+        let ns, sh, _ = fresh () in
+        List.iter
+          (fun (text, want) ->
+            Vfs.write_file ns (Corpus.src_dir ^ "/bad.c") text;
+            let r = Rc.run sh ~cwd:Corpus.src_dir "vc -w bad.c" in
+            check_int "status" 1 r.Rc.r_status;
+            check_str "message" want r.Rc.r_err)
+          [ ("int x;\n/* never closed\n", "vc: bad.c:3: unterminated comment\n");
+            ("char *s = \"abc;\nint y;\n", "vc: bad.c:1: newline in string\n") ]);
     Alcotest.test_case "vl links objects, dedupes symbols" `Quick (fun () ->
         let ns, sh, _ = fresh () in
         let _ = Rc.run sh ~cwd:Corpus.src_dir "vc -w exec.c; vc -w help.c" in

@@ -189,6 +189,24 @@ let demo_tests =
           (Help.columns help));
   ]
 
+(* A booted session whose exec.c ends in an unterminated comment, open
+   with the mouse on the global n; returns the file's good text too. *)
+let unlexable_exec () =
+  let t = Session.boot () in
+  let path = Corpus.src_dir ^ "/exec.c" in
+  let original = Vfs.read_file t.Session.ns path in
+  Session.write_file t path (original ^ "/* never closed\n");
+  (match Help.open_file t.Session.help ~dir:"/" path with
+  | Some _ -> ()
+  | None -> Alcotest.fail "open exec.c");
+  Session.point_at t (Session.win t path) "(uchar*)n)" ~off:8;
+  (t, original)
+
+let errors_text t =
+  match Help.window_by_name t.Session.help "Errors" with
+  | Some w -> Htext.string (Hwin.body w)
+  | None -> ""
+
 let gesture_tests =
   [
     Alcotest.test_case
@@ -232,6 +250,43 @@ let gesture_tests =
         (* a fresh unnamed window appeared *)
         check_bool "new window" true
           (List.exists (fun w -> Hwin.tag_text w = "") (Help.windows t.Session.help)));
+    Alcotest.test_case "mk and decl on unlexable C report to Errors" `Quick
+      (fun () ->
+        let t, _ = unlexable_exec () in
+        let cbr = Session.win t "/help/cbr/stf" in
+        Session.exec_word t cbr "decl";
+        Session.exec_word t cbr "mk";
+        (* reported where the input ran out, the line after the opener *)
+        let line =
+          Corpus.line_of t.Session.ns (Corpus.src_dir ^ "/exec.c") "/* never"
+          + 1
+        in
+        let errors = errors_text t in
+        List.iter
+          (fun tool ->
+            check_bool (tool ^ " reports the comment") true
+              (contains errors
+                 (Printf.sprintf "%s: exec.c:%d: unterminated comment" tool
+                    line)))
+          [ "rcc"; "vc" ]);
+    Alcotest.test_case "mk succeeds again once the file is fixed" `Quick
+      (fun () ->
+        let t, original = unlexable_exec () in
+        let cbr = Session.win t "/help/cbr/stf" in
+        Session.exec_word t cbr "mk";
+        let failed = errors_text t in
+        check_bool "first mk failed" true
+          (contains failed "unterminated comment");
+        Session.write_file t (Corpus.src_dir ^ "/exec.c") original;
+        Session.exec_word t cbr "mk";
+        let after = errors_text t in
+        let tail =
+          String.sub after (String.length failed)
+            (String.length after - String.length failed)
+        in
+        check_bool "recompiled" true (contains tail "vc -w exec.c");
+        check_bool "relinked" true (contains tail "vl -o 8.help");
+        check_bool "no new error" false (contains tail "vc: "));
     Alcotest.test_case "type_text goes to the window under the mouse" `Quick
       (fun () ->
         let t = Session.boot () in
