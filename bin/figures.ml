@@ -9,16 +9,14 @@
 let figure1 () =
   let t = Session.boot ~h:40 () in
   let src = Corpus.src_dir in
+  let win name = Hwin.id (Session.win t name) in
   (* open the directory, then point at the sources inside it and Open
      them — the left column fills as in the figure *)
-  ignore (Help.open_file t.Session.help ~dir:"/" src);
-  let dirw = Session.win t src in
-  Session.drag_window t dirw ~col:0 ~y:1;
-  let edit = Session.win t "/help/edit/stf" in
-  Session.point_at t dirw "errs.c";
-  Session.exec_word t edit "Open";
-  Session.point_at t dirw "file.c";
-  Session.exec_word t edit "Open";
+  List.iter
+    (fun line -> Session.apply t (Wal.op_of_string ~win line))
+    [ "open " ^ src; "drag " ^ src ^ " 0 1"; "point " ^ src ^ " errs.c";
+      "exec /help/edit/stf Open"; "point " ^ src ^ " file.c";
+      "exec /help/edit/stf Open" ];
   Printf.printf "%s\nF1  a small help screen: the directory and two sources\n%s\n"
     (String.make 100 '=') (String.make 100 '=');
   print_string (Session.dump t);

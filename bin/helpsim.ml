@@ -1,133 +1,82 @@
 (* helpsim: drive a help session from a gesture script and watch the
-   screen.  The scripted user speaks a small command language, one
-   action per line:
+   screen.  Each line is one op of the session's gesture language, the
+   text form of Wal.op that the write-ahead log stores and
+   /mnt/help/wal/log serves:
 
-     open PATH              Open a file/directory (the Open built-in)
+     open PATH              open a file or directory (the Open built-in)
      point WIN NEEDLE       left-click at the first occurrence of NEEDLE
+     point WIN "NEEDLE" N   ... N characters past its start
      sweep WIN NEEDLE       left-sweep exactly NEEDLE
      exec WIN WORD          middle-click WORD in WIN's body
      exectag WIN WORD       middle-click WORD in WIN's tag
      execsweep WIN NEEDLE   middle-sweep NEEDLE
-     type TEXT              type at the mouse position
      cut WIN NEEDLE         sweep NEEDLE and chord-cut it
      tab WIN                click WIN's tab square
      drag WIN COL Y         right-drag WIN to column COL, row Y
+     type TEXT              type at the mouse position
+     move X Y, press B, release B, key C, ctl WIN CMD, reveal WIN,
+     draw, write "PATH" DATA, append "PATH" DATA, remove PATH,
+     mkdir PATH             the other ops (see wal.mli)
+
+   WIN is a window id or name (tag first word).  A text field runs to
+   the end of the line, or is an OCaml string literal ("\tn = 0;\n"),
+   which a needle needs when it starts with a quote or an offset
+   follows it.  helpsim's own verbs:
+
      sh COMMAND             run a shell command directly (not a gesture)
      dump                   print the screen
      windows                list windows
      ledger                 print the interaction counts so far
 
-   WIN is a window name (tag first word) or a window id.
-   Lines starting with # are comments.
+   Lines starting with # are comments.  A line that fails to parse or
+   apply stops the script with "helpsim: line N: REASON" and exit 1.
 
    dune exec bin/helpsim.exe -- --script demo.hs
    echo 'dump' | dune exec bin/helpsim.exe *)
 
 open Cmdliner
 
-let find_window t key =
-  match int_of_string_opt key with
-  | Some id -> (
-      match Help.window_by_id t.Session.help id with
-      | Some w -> w
-      | None -> failwith (Printf.sprintf "no window %d" id))
-  | None -> (
-      match Help.window_by_name t.Session.help key with
-      | Some w -> w
-      | None -> failwith (Printf.sprintf "no window named %s" key))
+let window t name =
+  match Help.window_by_name t.Session.help name with
+  | Some w -> Hwin.id w
+  | None -> failwith ("no window named " ^ name)
 
-let split2 s =
-  match String.index_opt s ' ' with
-  | Some i ->
-      (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-  | None -> (s, "")
+let run t line =
+  match String.trim line with
+  | "" -> ()
+  | l when l.[0] = '#' -> ()
+  | "dump" -> print_string (Session.dump t)
+  | "windows" ->
+      List.iter
+        (fun w -> Printf.printf "%d\t%s\n" (Hwin.id w) (Hwin.tag_text w))
+        (Help.windows t.Session.help)
+  | "ledger" ->
+      let c = Metrics.total t.Session.metrics in
+      Printf.printf "clicks %d  keys %d  travel %d  commands %d\n"
+        c.Metrics.clicks c.Metrics.keys c.Metrics.travel c.Metrics.execs
+  | l when l = "sh" || String.starts_with ~prefix:"sh " l ->
+      let r = Rc.run t.Session.sh (String.sub l 2 (String.length l - 2)) in
+      print_string r.Rc.r_out;
+      prerr_string r.Rc.r_err
+  | l -> Session.apply t (Wal.op_of_string ~win:(window t) l)
 
-let interpret t line =
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then ()
-  else begin
-    let cmd, rest = split2 line in
-    match cmd with
-    | "open" -> ignore (Help.open_file t.Session.help ~dir:"/" rest)
-    | "point" ->
-        let w, needle = split2 rest in
-        Session.point_at t (find_window t w) needle
-    | "sweep" ->
-        let w, needle = split2 rest in
-        Session.sweep t (find_window t w) needle
-    | "exec" ->
-        let w, word = split2 rest in
-        Session.exec_word t (find_window t w) word
-    | "exectag" ->
-        let w, word = split2 rest in
-        Session.exec_tag_word t (find_window t w) word
-    | "execsweep" ->
-        let w, needle = split2 rest in
-        Session.exec_sweep t (find_window t w) needle
-    | "type" -> Session.type_text t rest
-    | "cut" ->
-        let w, needle = split2 rest in
-        Session.sweep_and_chord_cut t (find_window t w) needle
-    | "tab" -> Session.click_tab t (find_window t rest)
-    | "drag" -> (
-        let w, coords = split2 rest in
-        match String.split_on_char ' ' coords with
-        | [ col; y ] ->
-            Session.drag_window t (find_window t w)
-              ~col:(int_of_string col) ~y:(int_of_string y)
-        | _ -> failwith "drag WIN COL Y")
-    | "sh" ->
-        let r = Rc.run t.Session.sh rest in
-        print_string r.Rc.r_out;
-        prerr_string r.Rc.r_err
-    | "dump" -> print_string (Session.dump t)
-    | "windows" ->
-        List.iter
-          (fun w -> Printf.printf "%d\t%s\n" (Hwin.id w) (Hwin.tag_text w))
-          (Help.windows t.Session.help)
-    | "ledger" ->
-        let c = Metrics.total t.Session.metrics in
-        Printf.printf "clicks %d  keys %d  travel %d  commands %d\n"
-          c.Metrics.clicks c.Metrics.keys c.Metrics.travel c.Metrics.execs
-    | other -> failwith ("unknown action: " ^ other)
-  end
-
-let main width height place script final_dump =
-  let place =
-    match place with
-    | "refined" -> Hplace.Refined
-    | "naive-top" -> Hplace.Naive_top
-    | "cover-half" -> Hplace.Cover_half
-    | "bottom-quarter" -> Hplace.Bottom_quarter
-    | other ->
-        prerr_endline ("helpsim: unknown placement strategy " ^ other);
-        exit 2
-  in
-  let t = Session.boot ~w:width ~h:height ~place () in
-  let input =
+let main width height script final_dump =
+  let t = Session.boot ~w:width ~h:height () in
+  let text =
     match script with
-    | Some path ->
-        let ic = open_in path in
-        let rec read acc =
-          match input_line ic with
-          | line -> read (line :: acc)
-          | exception End_of_file ->
-              close_in ic;
-              List.rev acc
-        in
-        read []
-    | None ->
-        let rec read acc =
-          match input_line stdin with
-          | line -> read (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        read []
+    | Some path -> In_channel.with_open_bin path In_channel.input_all
+    | None -> In_channel.input_all stdin
   in
-  (try List.iter (interpret t) input
-   with Failure msg ->
-     prerr_endline ("helpsim: " ^ msg);
-     exit 1);
+  List.iteri
+    (fun i line ->
+      try run t line
+      with e ->
+        let reason =
+          match e with Failure m | Invalid_argument m -> m | e -> Printexc.to_string e
+        in
+        Printf.eprintf "helpsim: line %d: %s\n" (i + 1) reason;
+        exit 1)
+    (String.split_on_char '\n' text);
   if final_dump then print_string (Session.dump t);
   if not (Help.running t.Session.help) then print_endline "(session exited)"
 
@@ -136,15 +85,6 @@ let width_arg =
 
 let height_arg =
   Arg.(value & opt int 48 & info [ "h"; "height" ] ~doc:"Screen height in cells.")
-
-let place_arg =
-  Arg.(
-    value
-    & opt string "refined"
-    & info [ "place" ]
-        ~doc:
-          "Window placement strategy: refined, naive-top, cover-half, or \
-           bottom-quarter (the E5 ablation variants).")
 
 let script_arg =
   Arg.(value & opt (some file) None & info [ "script" ] ~doc:"Gesture script file (default: stdin).")
@@ -155,6 +95,6 @@ let dump_arg =
 let cmd =
   Cmd.v
     (Cmd.info "helpsim" ~doc:"Drive a help session from a gesture script")
-    Term.(const main $ width_arg $ height_arg $ place_arg $ script_arg $ dump_arg)
+    Term.(const main $ width_arg $ height_arg $ script_arg $ dump_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -143,7 +143,6 @@ let create ?(w = default_w) ?(h = default_h) ?(place = Hplace.Refined) ns sh =
 let ns t = t.namespace
 let shell t = t.sh
 let auto_expansions t = t.auto_count
-let width t = t.w
 let height t = t.h
 let on_gesture t f = t.gesture_hook <- f
 let on_event t f = t.event_hook <- f

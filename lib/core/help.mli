@@ -36,7 +36,6 @@ val create :
 
 val ns : t -> Vfs.t
 val shell : t -> Rc.t
-val width : t -> int
 val height : t -> int
 
 (** Metrics hook, called once per user gesture. *)
@@ -136,8 +135,7 @@ val draw : t -> Screen.t
 
 (** Like {!draw} but returns the live persistent screen without
     snapshotting it — valid only until the next draw.  This is the
-    zero-copy path for an interactive main loop (pair with
-    {!Screen.diff} to ship damage to a remote display). *)
+    zero-copy path for an interactive main loop. *)
 val redraw : t -> Screen.t
 
 (** From-scratch render onto a fresh screen, bypassing damage tracking.
@@ -158,9 +156,6 @@ val find_in_body : t -> Hwin.t -> string -> int option
 
 (** The Errors window, created on demand. *)
 val errors_window : t -> Hwin.t
-
-(** Report an error as help does: append to the Errors window. *)
-val report : t -> string -> unit
 
 (** {1 Snapshot / restore}
 

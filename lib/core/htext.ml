@@ -42,7 +42,6 @@ let string t = Buffer0.to_string t.buf
 let rope t = Buffer0.text t.buf
 let sel t = (t.q0, t.q1)
 let view_gen t = t.vgen
-let touch t = t.vgen <- t.vgen + 1
 
 let clamp t q = max 0 (min q (length t))
 

@@ -21,14 +21,10 @@ val sel : t -> int * int
 
 (** Monotonic view generation: bumped whenever this view could render
     differently — buffer edits seen by this view, selection changes,
-    origin moves, and explicit {!touch}.  Equal generations mean the
+    and origin moves.  Equal generations mean the
     view's text, selection and origin are unchanged, so cached
     renderings and token scans of it are still valid. *)
 val view_gen : t -> int
-
-(** Force-bump the view generation (used when out-of-band state baked
-    into a cached rendering of this view changes). *)
-val touch : t -> unit
 
 val set_sel : t -> int -> int -> unit
 

@@ -23,8 +23,6 @@ let connect ~install help =
   Vfs.mount cns "/mnt/help" (Vfs.subtree cns "/mnt/term/mnt/help");
   { cns; csh; link }
 
-let ns t = t.cns
-let shell t = t.csh
 
 let run t ~cwd ~helpsel cmd =
   Rc.set_global t.csh "helpsel" helpsel;

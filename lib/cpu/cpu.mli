@@ -31,11 +31,6 @@ type t
     (they are that machine's [/bin]). *)
 val connect : install:(Rc.t -> unit) -> Help.t -> t
 
-(** The CPU server's own namespace and shell. *)
-val ns : t -> Vfs.t
-
-val shell : t -> Rc.t
-
 (** Run a command on the CPU server with the terminal's context. *)
 val run : t -> cwd:string -> helpsel:string list -> string -> Rc.result
 

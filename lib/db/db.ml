@@ -24,7 +24,6 @@ let add_process db p =
   db.procs <- List.filter (fun q -> q.pr_pid <> p.pr_pid) db.procs @ [ p ]
 
 let find db pid = List.find_opt (fun p -> p.pr_pid = pid) db.procs
-let processes db = db.procs
 
 (* ------------------------------------------------------------------ *)
 (* Object / symbol-table format                                        *)

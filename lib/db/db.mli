@@ -35,7 +35,6 @@ type t
 val create : unit -> t
 val add_process : t -> process -> unit
 val find : t -> int -> process option
-val processes : t -> process list
 
 (** {1 Symbol tables / object format} *)
 

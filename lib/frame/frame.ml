@@ -16,8 +16,6 @@ type t = {
 let org t = t.org
 let last t = t.last
 let rows_used t = Array.length t.rows
-let width t = t.w
-let height t = t.h
 
 let char_width col = function
   | '\t' -> tab_width - (col mod tab_width)

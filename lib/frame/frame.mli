@@ -21,8 +21,6 @@ val last : t -> int
 (** Number of rows actually used (<= h). *)
 val rows_used : t -> int
 
-val width : t -> int
-val height : t -> int
 
 (** Frame-relative cell of an offset within [org, last]; [None] when the
     offset is outside the displayed range.  An offset equal to [last] maps

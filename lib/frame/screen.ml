@@ -6,8 +6,6 @@ let create w h =
   if w <= 0 || h <= 0 then invalid_arg "Screen.create";
   { w; h; chars = Bytes.make (w * h) ' '; attrs = Array.make (w * h) Plain }
 
-let width s = s.w
-let height s = s.h
 
 let set s ~x ~y ch attr =
   if x >= 0 && x < s.w && y >= 0 && y < s.h then begin
@@ -73,24 +71,6 @@ let contains s needle = Hstr.contains (dump s) ~sub:needle
 
 let copy s =
   { w = s.w; h = s.h; chars = Bytes.copy s.chars; attrs = Array.copy s.attrs }
-
-let blit ~src ~dst =
-  if src.w <> dst.w || src.h <> dst.h then invalid_arg "Screen.blit";
-  Bytes.blit src.chars 0 dst.chars 0 (Bytes.length src.chars);
-  Array.blit src.attrs 0 dst.attrs 0 (Array.length src.attrs)
-
-let diff a b =
-  if a.w <> b.w || a.h <> b.h then invalid_arg "Screen.diff";
-  let out = ref [] in
-  for y = b.h - 1 downto 0 do
-    for x = b.w - 1 downto 0 do
-      let i = (y * b.w) + x in
-      let ch = Bytes.get b.chars i and at = b.attrs.(i) in
-      if ch <> Bytes.get a.chars i || at <> a.attrs.(i) then
-        out := (x, y, ch, at) :: !out
-    done
-  done;
-  !out
 
 let equal a b =
   a.w = b.w && a.h = b.h && Bytes.equal a.chars b.chars && a.attrs = b.attrs

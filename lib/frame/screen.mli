@@ -17,8 +17,6 @@ type attr =
 type t
 
 val create : int -> int -> t
-val width : t -> int
-val height : t -> int
 
 (** [set scr ~x ~y ch attr]; out-of-bounds writes are ignored (clipping). *)
 val set : t -> x:int -> y:int -> char -> attr -> unit
@@ -47,15 +45,5 @@ val contains : t -> string -> bool
 
 (** Independent snapshot of the screen. *)
 val copy : t -> t
-
-(** [blit ~src ~dst] overwrites [dst] with [src]'s cells.  The screens
-    must have equal dimensions. *)
-val blit : src:t -> dst:t -> unit
-
-(** [diff old now] lists the cells of [now] that differ from [old], in
-    row-major order, as [(x, y, char, attr)].  Raises [Invalid_argument]
-    on a dimension mismatch.  This is the damage a remote display would
-    need to catch up. *)
-val diff : t -> t -> (int * int * char * attr) list
 
 val equal : t -> t -> bool

@@ -5,8 +5,8 @@
     The pages under [doc/] are embedded at build time (see the dune
     rule generating [Guide_docs]); {!parse} turns one page into a
     {!page} — NAME, the SYNOPSIS as {!invocation}s, the documented
-    command verbs, file references and SEE ALSO links — and {!render}
-    lays the model out as a window body whose RUN lines are concrete
+    command verbs, file references and SEE ALSO links — and a page
+    window lays the model out as a body whose RUN lines are concrete
     command invocations with their placeholders filled from a built-in
     table of example arguments.  A middle sweep runs a line directly;
     the [run] tag verb runs the selected line into a fresh output
@@ -74,10 +74,6 @@ val synopsis_string : invocation -> string
     when a placeholder has no entry. *)
 val synopsis_command : invocation -> string option
 
-(** The window body of one page: RUN, COMMANDS, FILES and SEE ALSO
-    sections, every RUN and SEE ALSO line a sweepable command. *)
-val render : page -> string
-
 (** The [/mnt/help/guide] file: [name TAB section TAB title] lines. *)
 val index_text : unit -> string
 
@@ -85,14 +81,12 @@ val index_text : unit -> string
     of the parsed model. *)
 val page_text : page -> string
 
-(** The [/bin/guide] native: no argument opens the index window,
-    [guide <page>] opens (or refreshes) a page window, and [guide -run
-    <line>] runs a composed invocation into a fresh output window —
-    all window traffic crosses the [/mnt/help] mount. *)
-val native : Rc.native
-
-(** Register the native and write the [/help/guide] tool scripts
-    ([stf], [run]).  [builtins] names the capitalized words help
+(** Register the [/bin/guide] native and write the [/help/guide] tool
+    scripts ([stf], [run]).  With no argument [guide] opens the index
+    window, [guide <page>] opens (or refreshes) a page window, and
+    [guide -run <line>] runs a composed invocation into a fresh output
+    window — all window traffic crosses the [/mnt/help] mount.
+    [builtins] names the capitalized words help
     executes itself (see [Help.builtins]); [guide -run] reports those
     instead of handing them to the shell. *)
 val install : ?builtins:string list -> Rc.t -> unit

@@ -11,8 +11,6 @@
     [w \[file\]], [q], [=], and the empty command (advance and print).
     Errors answer [?], as tradition demands. *)
 
-(** The [/bin/ed] native: [ed file] reads commands from standard input
+(** Register [/bin/ed]: [ed file] reads commands from standard input
     and prints what ed prints. *)
-val native : Rc.native
-
 val install : Rc.t -> unit

@@ -29,7 +29,6 @@ let create ?(name = "") s =
   }
 
 let name b = b.name
-let set_name b s = b.name <- s
 let text b = b.text
 let length b = Rope.length b.text
 let to_string b = Rope.to_string b.text

@@ -18,7 +18,6 @@ type edit =
 val create : ?name:string -> string -> t
 
 val name : t -> string
-val set_name : t -> string -> unit
 
 val text : t -> Rope.t
 val length : t -> int

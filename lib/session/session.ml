@@ -179,7 +179,7 @@ let install_wal t a =
    boot-screen windows.  Boot runs both; recovery runs [wire] and
    restores a snapshot where boot would run [populate]. *)
 
-let wire ?w ?h ?place ~remote ?fault () =
+let wire ?w ?h ~remote ?fault () =
   (* each session starts a fresh observability ledger (and a fresh
      logical trace clock), so scripted sessions trace identically *)
   Trace.reset ();
@@ -207,7 +207,7 @@ let wire ?w ?h ?place ~remote ?fault () =
   Vfs.write_file ns "/help/shell/stf" shell_stf;
   Vfs.write_file ns "/help/shell/window" shell_window_script;
   Vfs.write_file ns "/help/shell/run" shell_run_script;
-  let help = Help.create ?w ?h ?place ns sh in
+  let help = Help.create ?w ?h ns sh in
   let metrics = Metrics.attach help in
   (* the WAL attachment is created after the mount, so the server gets a
      cell it can read later: /mnt/help/wal appears once one exists *)
@@ -259,9 +259,8 @@ let populate t =
       ignore (Help.open_file t.help ~dir:"/" ("/help/" ^ tool ^ "/stf")))
     [ "edit"; "cbr"; "db"; "mail"; "guide" ]
 
-let boot ?w ?h ?place ?(remote = false) ?fault ?wal:wal_store
-    ?checkpoint_every () =
-  let t = wire ?w ?h ?place ~remote ?fault () in
+let boot ?w ?h ?(remote = false) ?fault ?wal:wal_store ?checkpoint_every () =
+  let t = wire ?w ?h ~remote ?fault () in
   populate t;
   (match wal_store with
   | None -> ()
@@ -327,24 +326,25 @@ let find_or_fail t w needle =
         (Printf.sprintf "Session: %S not found in window %d %s" needle
            (Hwin.id w) (Hwin.name w))
 
-(* Make sure offset [q] of the body is on screen: reveal the window (as
-   a click on its tab would) and scroll (as the scroll bar would). *)
+(* Reveal a window in its column, as a click on its tab would. *)
+let reveal t w =
+  match Help.column_of t.help w with
+  | Some col -> Hcol.reveal col ~h:(Help.height t.help) w
+  | None -> ()
+
+(* Make sure offset [q] of the body is on screen: reveal the window and
+   scroll (as the scroll bar would). *)
 let ensure_visible t w q =
   let try_cell () =
     let _ = Help.draw t.help in
     Help.cell_of t.help w `Body q
-  in
-  let reveal () =
-    match Help.column_of t.help w with
-    | Some col -> Hcol.reveal col ~h:(Help.height t.help) w
-    | None -> ()
   in
   let show () =
     match Help.ctl_command t.help w (Printf.sprintf "show %d" q) with
     | Ok () | Error _ -> ()
   in
   let attempts =
-    [ (fun () -> ()); show; (fun () -> reveal (); show ()) ]
+    [ (fun () -> ()); show; (fun () -> reveal t w; show ()) ]
   in
   let rec go = function
     | [] ->
@@ -395,18 +395,13 @@ let exec_tag_word_raw t w needle =
     | Some i -> i
     | None -> invalid_arg ("Session: " ^ needle ^ " not in tag")
   in
-  let _ = Help.draw t.help in
-  match Help.cell_of t.help w `Tag q with
+  let cell () =
+    let _ = Help.draw t.help in
+    Help.cell_of t.help w `Tag q
+  in
+  match (match cell () with None -> reveal t w; cell () | c -> c) with
   | Some (x, y) -> Help.events t.help [ Move (x, y); Press Middle; Release Middle ]
-  | None ->
-      (match Help.column_of t.help w with
-      | Some col -> Hcol.reveal col ~h:(Help.height t.help) w
-      | None -> ());
-      let _ = Help.draw t.help in
-      (match Help.cell_of t.help w `Tag q with
-      | Some (x, y) ->
-          Help.events t.help [ Move (x, y); Press Middle; Release Middle ]
-      | None -> invalid_arg "Session: tag not visible")
+  | None -> invalid_arg "Session: tag not visible"
 
 let exec_tag_word t w needle =
   logged t
@@ -480,23 +475,7 @@ let click_tab t w =
   logged t (Wal.O_click_tab (Hwin.id w)) (fun () -> click_tab_raw t w)
 
 (* ------------------------------------------------------------------ *)
-(* Logged window controls and namespace writes *)
-
-let ctl t w cmd =
-  logged t
-    (Wal.O_ctl (Hwin.id w, cmd))
-    (fun () ->
-      match Help.ctl_command t.help w cmd with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Session.ctl: " ^ e))
-
-let reveal t w =
-  logged t
-    (Wal.O_reveal (Hwin.id w))
-    (fun () ->
-      match Help.column_of t.help w with
-      | Some col -> Hcol.reveal col ~h:(Help.height t.help) w
-      | None -> ())
+(* Logged namespace writes *)
 
 let write_file t path data =
   logged t (Wal.O_write (path, data)) (fun () -> Vfs.write_file t.ns path data)
@@ -532,15 +511,24 @@ let apply t op =
       sweep_and_chord_cut t (win_by_id t id) needle
   | Wal.O_drag (id, col, y) -> drag_window t (win_by_id t id) ~col ~y
   | Wal.O_click_tab id -> click_tab t (win_by_id t id)
-  | Wal.O_ctl (id, cmd) -> ctl t (win_by_id t id) cmd
-  | Wal.O_reveal id -> reveal t (win_by_id t id)
+  | Wal.O_open p ->
+      logged t op (fun () -> ignore (Help.open_file t.help ~dir:"/" p))
+  | Wal.O_ctl (id, cmd) ->
+      let w = win_by_id t id in
+      logged t op (fun () ->
+          match Help.ctl_command t.help w cmd with
+          | Ok () -> ()
+          | Error e -> invalid_arg ("Session: ctl: " ^ e))
+  | Wal.O_reveal id ->
+      let w = win_by_id t id in
+      logged t op (fun () -> reveal t w)
   | Wal.O_draw -> ignore (screen t)
   | Wal.O_write (p, s) -> write_file t p s
   | Wal.O_append (p, s) -> append_file t p s
   | Wal.O_remove p -> remove_file t p
   | Wal.O_mkdir p -> mkdir t p
 
-let recover ?w ?h ?place ?(remote = false) ?fault ?checkpoint_every store =
+let recover ?w ?h ?(remote = false) ?fault ?checkpoint_every store =
   let sn =
     match Wal.latest_snapshot store with
     | Some sn -> sn
@@ -550,7 +538,7 @@ let recover ?w ?h ?place ?(remote = false) ?fault ?checkpoint_every store =
      persisted it; recovery refuses rather than silently diverging. *)
   Wal.verify_journal store;
   (* 1. wire: rebuild what the snapshot does not hold *)
-  let t = wire ?w ?h ?place ~remote ?fault () in
+  let t = wire ?w ?h ~remote ?fault () in
   let a = Wal.attach ?checkpoint_every ~recording:false store in
   let get = Wal.chunk_get store in
   (* 2. restore in place of populate: the RAM tree and the windows *)

@@ -66,7 +66,6 @@ val crash_pid : int
 val boot :
   ?w:int ->
   ?h:int ->
-  ?place:Hplace.strategy ->
   ?remote:bool ->
   ?fault:Fault.config ->
   ?wal:Wal.store ->
@@ -97,17 +96,17 @@ val checkpoint : t -> unit
 val recover :
   ?w:int ->
   ?h:int ->
-  ?place:Hplace.strategy ->
   ?remote:bool ->
   ?fault:Fault.config ->
   ?checkpoint_every:int ->
   Wal.store ->
   t
 
-(** Apply one logged operation through the public wrappers — the replay
-    entry point, also usable by drivers that generate ops directly
-    (property tests).  @raise Invalid_argument on a dangling window
-    id. *)
+(** Apply one operation through the logged wrappers — the one entry
+    point for replay and for drivers that speak ops: recovery, helpsim
+    (each script line through {!Wal.op_of_string}) and property tests.
+    @raise Invalid_argument on a dangling window id or a control
+    command the control language rejects. *)
 val apply : t -> Wal.op -> unit
 
 (** {1 More clients}
@@ -177,14 +176,11 @@ val click_tab : t -> Hwin.t -> unit
     window to where it is desired, and releases the button". *)
 val drag_window : t -> Hwin.t -> col:int -> y:int -> unit
 
-(** {1 Logged window controls and namespace writes}
+(** {1 Logged namespace writes}
 
     Driver-level mutations outside the gesture vocabulary, wrapped so a
-    WAL attachment records them.  @raise Invalid_argument from {!ctl}
-    on a command the control language rejects. *)
+    WAL attachment records them. *)
 
-val ctl : t -> Hwin.t -> string -> unit
-val reveal : t -> Hwin.t -> unit
 val write_file : t -> string -> string -> unit
 val append_file : t -> string -> string -> unit
 val remove_file : t -> string -> unit

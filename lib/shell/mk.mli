@@ -30,9 +30,7 @@ type mkfile = { vars : (string * string) list; rules : rule list }
     expansion. *)
 val parse : string -> mkfile
 
-(** The [mk] native tool (reads [mkfile] in the working directory;
-    goals from argv; [-modified] selects the inverted traversal). *)
-val native : Rc.native
-
-(** Register [/bin/mk]. *)
+(** Register [/bin/mk], which reads [mkfile] in the working directory
+    and its goals from argv; [-modified] selects the inverted
+    traversal. *)
 val install : Rc.t -> unit

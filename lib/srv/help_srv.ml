@@ -24,6 +24,13 @@ let string_file data =
     of_close = (fun () -> ());
   }
 
+(* The WAL's op log as op lines, oldest first, less a torn tail: a
+   helpsim script that replays the session from a fresh boot. *)
+let wal_log_text a =
+  fst (Wal.ops_after (Wal.store a) ~pos:0)
+  |> List.map (fun (_, op) -> Wal.op_to_string op ^ "\n")
+  |> String.concat ""
+
 let stat_of ~name ~dir ~length now =
   { Vfs.st_name = name; st_dir = dir; st_length = length; st_mtime = now;
     st_version = 0 }
@@ -70,6 +77,7 @@ let filesystem ?(wal = fun () -> None) help =
     | [ "guide"; pg ] -> `GuidePage pg
     | [ "wal" ] -> `WalDir
     | [ "wal"; "stats" ] -> `Wstats
+    | [ "wal"; "log" ] -> `Wlog
     | [ "wal"; "checkpoint" ] -> `Wcheckpoint
     | [ id ] -> (
         match int_of_string_opt id with
@@ -138,10 +146,14 @@ let filesystem ?(wal = fun () -> None) help =
         | None -> err Vfs.Enonexist)
     | `WalDir ->
         let _ = the_wal () in
-        stat_of ~name:"wal" ~dir:true ~length:2 (now ())
+        stat_of ~name:"wal" ~dir:true ~length:3 (now ())
     | `Wstats ->
         stat_of ~name:"stats" ~dir:false
           ~length:(String.length (Wal.stats_text (the_wal ())))
+          (now ())
+    | `Wlog ->
+        stat_of ~name:"log" ~dir:false
+          ~length:(String.length (wal_log_text (the_wal ())))
           (now ())
     | `Wcheckpoint ->
         let _ = the_wal () in
@@ -187,7 +199,7 @@ let filesystem ?(wal = fun () -> None) help =
              (now ())
         :: stat_of ~name:"new" ~dir:true ~length:1 (now ())
         :: ((match wal () with
-            | Some _ -> [ stat_of ~name:"wal" ~dir:true ~length:2 (now ()) ]
+            | Some _ -> [ stat_of ~name:"wal" ~dir:true ~length:3 (now ()) ]
             | None -> [])
            @ List.map
                (fun w ->
@@ -200,6 +212,9 @@ let filesystem ?(wal = fun () -> None) help =
           stat_of ~name:"stats" ~dir:false
             ~length:(String.length (Wal.stats_text a))
             (now ());
+          stat_of ~name:"log" ~dir:false
+            ~length:(String.length (wal_log_text a))
+            (now ());
           stat_of ~name:"checkpoint" ~dir:false ~length:0 (now ());
         ]
     | `New -> [ stat_of ~name:"ctl" ~dir:false ~length:0 (now ()) ]
@@ -210,7 +225,7 @@ let filesystem ?(wal = fun () -> None) help =
           [ "tag"; "body"; "bodyapp"; "ctl" ]
     | `Index | `Ixstats | `Ixpostings | `Ixrebuild | `Stats | `Metrics
     | `Alerts | `Trace | `TraceLast | `TraceReq _ | `Guide | `GuidePage _
-    | `Wstats | `Wcheckpoint | `Newctl | `Tag _ | `Body _ | `Bodyapp _
+    | `Wstats | `Wlog | `Wcheckpoint | `Newctl | `Tag _ | `Body _ | `Bodyapp _
     | `Ctl _ ->
         err Vfs.Enotdir
   in
@@ -411,6 +426,7 @@ let filesystem ?(wal = fun () -> None) help =
         (* the durability ledger: log and snapshot totals, chunk
            sharing, last-recovery statistics *)
         string_file (Wal.stats_text (the_wal ()))
+    | `Wlog -> string_file (wal_log_text (the_wal ()))
     | `Wcheckpoint -> wal_checkpoint_file (the_wal ())
     | `Newctl -> newctl_file ()
     | `Tag id -> tag_file id ~trunc

@@ -25,6 +25,10 @@
                            statistics (see {!Wal.stats_text}); the wal
                            directory exists only while a write-ahead
                            log is attached
+    /mnt/help/wal/log      the op log, one op per line in the text
+                           form of {!Wal.op_to_string}, oldest first:
+                           a helpsim script that replays the session
+                           from a fresh boot
     /mnt/help/wal/checkpoint
                            any write takes a snapshot now
     /mnt/help/new/ctl      opening it creates a window; reading it

@@ -26,7 +26,6 @@ let w_list b f xs =
 
 let reader s = { s; pos = 0 }
 let at_end d = d.pos >= String.length d.s
-let remaining d = String.length d.s - d.pos
 
 let r_int d =
   let n = String.length d.s in

@@ -27,9 +27,6 @@ val reader : string -> dec
 (** No bytes left to read. *)
 val at_end : dec -> bool
 
-(** Bytes left to read. *)
-val remaining : dec -> int
-
 val r_int : dec -> int
 val r_str : dec -> string
 val r_bool : dec -> bool

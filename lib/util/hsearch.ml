@@ -5,14 +5,6 @@
 
 type needle = Literal of string | Pattern of Regexp.t
 
-let find nd ?(start = 0) s =
-  match nd with
-  | Literal sub -> (
-      match Hstr.find ~start s ~sub with
-      | Some i -> Some (i, i + String.length sub)
-      | None -> None)
-  | Pattern re -> Regexp.search re s start
-
 let matches nd s =
   match nd with
   | Literal sub -> Hstr.contains s ~sub

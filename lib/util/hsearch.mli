@@ -7,11 +7,6 @@
 (** What to look for: a fixed string or a compiled pattern. *)
 type needle = Literal of string | Pattern of Regexp.t
 
-(** [find nd ?start s] — leftmost occurrence at or after [start] as
-    [(start, stop)], [stop] exclusive.  Patterns are leftmost-longest;
-    an empty literal matches at [start]. *)
-val find : needle -> ?start:int -> string -> (int * int) option
-
 val matches : needle -> string -> bool
 
 (** Rope variants stream leaf chunks; the rope is never flattened. *)

@@ -8,7 +8,7 @@
     and are mounted like any other tree.
 
     Paths are absolute, [/]-separated; [.] and [..] are resolved
-    lexically, as on Plan 9.  Time is a logical clock ({!tick}). *)
+    lexically, as on Plan 9.  Time is a logical clock ({!now}). *)
 
 type error =
   | Enonexist  (** file does not exist *)
@@ -58,8 +58,6 @@ val create : unit -> t
 
 (** Logical time. *)
 val now : t -> int
-
-val tick : t -> unit
 
 (** Monotonic mutation counter: bumped by writes, creates, removes and
     mounts, but not by reads or opens (unlike the {!now} clock).  An

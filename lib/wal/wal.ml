@@ -13,6 +13,7 @@ type op =
   | O_chord_cut of int * string
   | O_drag of int * int * int
   | O_click_tab of int
+  | O_open of string
   | O_ctl of int * string
   | O_reveal of int
   | O_draw
@@ -28,97 +29,132 @@ let m_chunks_new = Trace.counter "wal.chunks.new"
 let m_chunks_shared = Trace.counter "wal.chunks.shared"
 let m_journal = Trace.counter "wal.journal.entries"
 
-(* ---- op serialization ------------------------------------------- *)
+(* ---- text form ------------------------------------------------- *)
 
-let w_button b n =
-  Codec.w_int b (match n with Help.Left -> 0 | Help.Middle -> 1 | Help.Right -> 2)
+(* One op per line: a verb, then its fields, each after one space.  A
+   string prints raw when it ends the line and reads back unchanged
+   (printable, so the log stays legible); otherwise as an OCaml
+   literal, which other fields may follow. *)
 
-let r_button d =
-  match Codec.r_int d with
-  | 0 -> Help.Left
-  | 1 -> Help.Middle
-  | 2 -> Help.Right
-  | n -> raise (Corrupt (Printf.sprintf "bad button tag %d" n))
+let add_int b n =
+  Buffer.add_char b ' ';
+  Buffer.add_string b (string_of_int n)
 
-let w_op b op =
-  let wn = Codec.w_int b and ws = Codec.w_str b in
+let add_quoted b s =
+  Buffer.add_string b " \"";
+  Buffer.add_string b (String.escaped s);
+  Buffer.add_char b '"'
+
+let add_last b s =
+  let n = String.length s in
+  if
+    n > 0 && s.[0] <> '"' && s.[0] <> ' ' && s.[n - 1] <> ' '
+    && String.for_all (fun c -> c >= ' ' && c <> '\127') s
+  then (Buffer.add_char b ' '; Buffer.add_string b s)
+  else add_quoted b s
+
+let buttons = [ ("left", Help.Left); ("middle", Help.Middle); ("right", Help.Right) ]
+
+let add_op b op =
+  let verb = Buffer.add_string b and int = add_int b and last = add_last b in
+  let button bt = last (fst (List.find (fun (_, x) -> x = bt) buttons)) in
   match op with
-  | O_event ev -> (
-      wn 0;
-      match ev with
-      | Help.Move (x, y) -> wn 0; wn x; wn y
-      | Help.Press bt -> wn 1; w_button b bt
-      | Help.Release bt -> wn 2; w_button b bt
-      | Help.Key c -> wn 3; wn (Char.code c)
-      | Help.Type s -> wn 4; ws s)
-  | O_point (w, needle, off) -> wn 1; wn w; ws needle; wn off
-  | O_sweep (w, needle) -> wn 2; wn w; ws needle
-  | O_exec_word (w, needle) -> wn 3; wn w; ws needle
-  | O_exec_sweep (w, needle) -> wn 4; wn w; ws needle
-  | O_exec_tag (w, needle) -> wn 5; wn w; ws needle
-  | O_chord_cut (w, needle) -> wn 6; wn w; ws needle
-  | O_drag (w, col, y) -> wn 7; wn w; wn col; wn y
-  | O_click_tab w -> wn 8; wn w
-  | O_ctl (w, cmd) -> wn 9; wn w; ws cmd
-  | O_reveal w -> wn 10; wn w
-  | O_draw -> wn 11
-  | O_write (p, s) -> wn 12; ws p; ws s
-  | O_append (p, s) -> wn 13; ws p; ws s
-  | O_remove p -> wn 14; ws p
-  | O_mkdir p -> wn 15; ws p
+  | O_event (Move (x, y)) -> verb "move"; int x; int y
+  | O_event (Press bt) -> verb "press"; button bt
+  | O_event (Release bt) -> verb "release"; button bt
+  | O_event (Key c) -> verb "key"; last (String.make 1 c)
+  | O_event (Type s) -> verb "type"; last s
+  | O_point (w, s, 0) -> verb "point"; int w; last s
+  | O_point (w, s, off) -> verb "point"; int w; add_quoted b s; int off
+  | O_sweep (w, s) -> verb "sweep"; int w; last s
+  | O_exec_word (w, s) -> verb "exec"; int w; last s
+  | O_exec_sweep (w, s) -> verb "execsweep"; int w; last s
+  | O_exec_tag (w, s) -> verb "exectag"; int w; last s
+  | O_chord_cut (w, s) -> verb "cut"; int w; last s
+  | O_drag (w, col, y) -> verb "drag"; int w; int col; int y
+  | O_click_tab w -> verb "tab"; int w
+  | O_open p -> verb "open"; last p
+  | O_ctl (w, cmd) -> verb "ctl"; int w; last cmd
+  | O_reveal w -> verb "reveal"; int w
+  | O_draw -> verb "draw"
+  | O_write (p, s) -> verb "write"; add_quoted b p; last s
+  | O_append (p, s) -> verb "append"; add_quoted b p; last s
+  | O_remove p -> verb "remove"; last p
+  | O_mkdir p -> verb "mkdir"; last p
 
-let r_op d =
-  let rn () = Codec.r_int d and rs () = Codec.r_str d in
-  match rn () with
-  | 0 ->
-      O_event
-        (match rn () with
-        | 0 ->
-            let x = rn () in
-            Help.Move (x, rn ())
-        | 1 -> Help.Press (r_button d)
-        | 2 -> Help.Release (r_button d)
-        | 3 -> Help.Key (Char.chr (rn () land 0xff))
-        | 4 -> Help.Type (rs ())
-        | n -> raise (Corrupt (Printf.sprintf "bad event tag %d" n)))
-  | 1 ->
-      let w = rn () in
-      let needle = rs () in
-      O_point (w, needle, rn ())
-  | 2 ->
-      let w = rn () in
-      O_sweep (w, rs ())
-  | 3 ->
-      let w = rn () in
-      O_exec_word (w, rs ())
-  | 4 ->
-      let w = rn () in
-      O_exec_sweep (w, rs ())
-  | 5 ->
-      let w = rn () in
-      O_exec_tag (w, rs ())
-  | 6 ->
-      let w = rn () in
-      O_chord_cut (w, rs ())
-  | 7 ->
-      let w = rn () in
-      let col = rn () in
-      O_drag (w, col, rn ())
-  | 8 -> O_click_tab (rn ())
-  | 9 ->
-      let w = rn () in
-      O_ctl (w, rs ())
-  | 10 -> O_reveal (rn ())
-  | 11 -> O_draw
-  | 12 ->
-      let p = rs () in
-      O_write (p, rs ())
-  | 13 ->
-      let p = rs () in
-      O_append (p, rs ())
-  | 14 -> O_remove (rs ())
-  | 15 -> O_mkdir (rs ())
-  | n -> raise (Corrupt (Printf.sprintf "bad op tag %d" n))
+let op_to_string op =
+  let b = Buffer.create 32 in
+  add_op b op;
+  Buffer.contents b
+
+let op_of_string ?(win = Printf.ksprintf failwith "no window named %s") line =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let n = String.length line and pos = ref 0 in
+  let word () =
+    let i = !pos in
+    let j = Option.value (String.index_from_opt line i ' ') ~default:n in
+    pos := min n (j + 1);
+    String.sub line i (j - i)
+  in
+  let int () =
+    let w = word () in
+    match int_of_string_opt w with Some v -> v | None -> fail "expected a number, got %S" w
+  in
+  let window () =
+    let w = word () in
+    match int_of_string_opt w with
+    | Some id when String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) w -> id
+    | _ -> if w = "" then fail "missing window" else win w
+  in
+  let quoted () =
+    let rest = String.sub line !pos (n - !pos) in
+    match Scanf.sscanf rest "%S%n" (fun s k -> (s, k)) with
+    | s, k when k = n - !pos || rest.[k] = ' ' -> pos := min n (!pos + k + 1); s
+    | _ | (exception (Scanf.Scan_failure _ | Failure _ | End_of_file)) ->
+        fail "expected a string literal at %S" rest
+  in
+  (* a string field: a literal, or raw to the end of the line *)
+  let str () =
+    if !pos < n && line.[!pos] = '"' then quoted ()
+    else (let s = String.sub line !pos (n - !pos) in pos := n; s)
+  in
+  let button () =
+    let w = word () in
+    match List.assoc_opt w buttons with Some bt -> bt | None -> fail "expected a button, got %S" w
+  in
+  let op =
+    match word () with
+    | "move" -> let x = int () in O_event (Move (x, int ()))
+    | "press" -> O_event (Press (button ()))
+    | "release" -> O_event (Release (button ()))
+    | "key" -> (
+        match str () with
+        | s when String.length s = 1 -> O_event (Key s.[0])
+        | s -> fail "key takes one character, got %S" s)
+    | "type" -> O_event (Type (str ()))
+    | "point" ->
+        let w = window () in
+        let s = str () in
+        O_point (w, s, if !pos < n then int () else 0)
+    | "sweep" -> let w = window () in O_sweep (w, str ())
+    | "exec" -> let w = window () in O_exec_word (w, str ())
+    | "execsweep" -> let w = window () in O_exec_sweep (w, str ())
+    | "exectag" -> let w = window () in O_exec_tag (w, str ())
+    | "cut" -> let w = window () in O_chord_cut (w, str ())
+    | "drag" -> let w = window () in let col = int () in O_drag (w, col, int ())
+    | "tab" -> O_click_tab (window ())
+    | "open" -> O_open (str ())
+    | "ctl" -> let w = window () in O_ctl (w, str ())
+    | "reveal" -> O_reveal (window ())
+    | "draw" -> O_draw
+    | "write" -> let p = quoted () in O_write (p, str ())
+    | "append" -> let p = quoted () in O_append (p, str ())
+    | "remove" -> O_remove (str ())
+    | "mkdir" -> O_mkdir (str ())
+    | v -> fail "unknown verb %S" v
+  in
+  if !pos < n then fail "unexpected %S" (String.sub line !pos (n - !pos));
+  op
 
 (* ---- store ------------------------------------------------------ *)
 
@@ -247,7 +283,7 @@ let set_on_checkpoint t f = t.on_checkpoint <- f
 let frame op =
   let b = Buffer.create 32 in
   Codec.w_int b (Trace.logical_now ());
-  w_op b op;
+  add_op b op;
   let payload = Buffer.contents b in
   let f = Buffer.create (Buffer.length b + 24) in
   Codec.w_str f payload;
@@ -342,13 +378,17 @@ let ops_after s ~pos =
                raise Exit
              end
              else raise (Corrupt "wal record checksum mismatch");
-           let pd = Codec.reader payload in
-           let stamp = Codec.r_int pd in
-           let op =
-             try r_op pd
-             with Codec.Truncated m -> raise (Corrupt ("bad wal record: " ^ m))
+           (* the stamp's Codec int ends at the first newline; the
+              op's line is the rest *)
+           let record =
+             try
+               let stamp = Codec.r_int (Codec.reader payload) in
+               let nl = String.index payload '\n' + 1 in
+               (stamp, op_of_string (String.sub payload nl (String.length payload - nl)))
+             with Codec.Truncated m | Failure m ->
+               raise (Corrupt ("bad wal record: " ^ m))
            in
-           acc := (stamp, op) :: !acc
+           acc := record :: !acc
      done
    with Exit -> ());
   (List.rev !acc, !torn)

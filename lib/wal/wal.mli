@@ -25,6 +25,10 @@
     recovered session's metrics converge byte-for-byte with the
     uninterrupted run's.
 
+    Records.  A record's payload is the clock stamp, as a [Codec] int,
+    followed by the op's line in the text form of {!op_to_string} —
+    the same lines helpsim reads and [/mnt/help/wal/log] serves.
+
     Torn tails.  The log is a sequence of length-prefixed,
     digest-checksummed frames.  A truncated final frame (the crash
     landed mid-write) is tolerated and counted; a checksum mismatch
@@ -44,8 +48,9 @@ exception Corrupt of string
     read-side ones like layout-cache hits — is reproduced by the same
     code that produced it.  [O_event] covers raw events delivered
     outside a session helper (tapped by [Help.on_event]); the gesture
-    ops name their window by id and their target by needle text; the
-    namespace ops cover direct driver writes outside the UI. *)
+    ops name their window by id and their target by needle text;
+    [O_open] opens a path as the Open built-in does; the namespace ops
+    cover direct driver writes outside the UI. *)
 type op =
   | O_event of Help.event
   | O_point of int * string * int  (** window id, needle, offset *)
@@ -56,6 +61,7 @@ type op =
   | O_chord_cut of int * string
   | O_drag of int * int * int  (** window id, column index, row *)
   | O_click_tab of int
+  | O_open of string  (** path, opened from [/] *)
   | O_ctl of int * string  (** window id, ctl command *)
   | O_reveal of int  (** window id *)
   | O_draw
@@ -63,6 +69,32 @@ type op =
   | O_append of string * string
   | O_remove of string
   | O_mkdir of string
+
+(** {1 Text form}
+
+    One op per line: a verb, then its fields, each after one space.
+    The gestures use helpsim's verbs: [point WIN NEEDLE], [point WIN
+    "NEEDLE" OFF], [sweep], [exec], [execsweep], [exectag] and [cut]
+    (each [WIN NEEDLE]), [tab WIN], [drag WIN COL Y], [type TEXT] (an
+    [O_event (Type _)]) and [open PATH].  The rest: [move X Y],
+    [press B], [release B] (B is [left], [middle] or [right]),
+    [key C], [ctl WIN CMD], [reveal WIN], [draw], [write "PATH" DATA],
+    [append "PATH" DATA], [remove PATH] and [mkdir PATH].
+
+    WIN prints as the window id.  A string field prints raw, to the end
+    of the line, when it is the last field, is not empty, has no byte
+    below space nor DEL, and neither starts with a quote nor starts or
+    ends with a space; otherwise it prints as an OCaml string literal
+    ([%S]), which other fields may follow.  [point]'s offset prints
+    only when it is nonzero, after a quoted needle. *)
+
+val op_to_string : op -> string
+
+(** Parse one line of the text form.  A WIN of digits (with an
+    optional minus) is a window id; any other WIN is a window name,
+    resolved by [win] (by default it fails).  @raise Failure with the
+    reason on a line that does not parse. *)
+val op_of_string : ?win:(string -> int) -> string -> op
 
 (** {1 Store} *)
 

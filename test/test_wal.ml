@@ -1,6 +1,7 @@
-(* Durability: op-log round trips, torn tails, journal gaps, snapshot
-   chunk sharing, crash recovery that converges byte-for-byte (the
-   paper's bug-fix session among the recovered scripts), and the
+(* Durability: op-log round trips (the ops' text form among them),
+   torn tails, journal gaps, snapshot chunk sharing, crash recovery
+   that converges byte-for-byte (the paper's bug-fix session among the
+   recovered scripts), /mnt/help/wal/log replayed as a script, and the
    two boot-hygiene regressions (index generation bumps, Trace.reset
    clearing window baselines) that motivated the subsystem. *)
 
@@ -54,6 +55,56 @@ let log_roundtrip () =
   let stamps = List.map fst ops in
   check_bool "stamps non-decreasing" true
     (List.for_all2 ( <= ) stamps (List.tl stamps @ [ max_int ]))
+
+(* Printing an op and parsing the line gives the op back, for strings
+   that need the literal form (newline, tab, quotes, backslash, a blank
+   at either end, a leading quote, NUL, bytes >= 0x80, the empty
+   string) and for zero, negative and large ints. *)
+let prop_text_roundtrip =
+  let open QCheck.Gen in
+  let str =
+    oneof
+      [
+        oneofl
+          [ ""; " "; "\n"; "\t"; "\""; "\\"; "\"lead"; " lead"; "trail ";
+            "a\000b"; "\xff\x80"; "2 sean"; "\tn = 0;\n"; "say \"hi\" 3" ];
+        string_size ~gen:char (int_range 0 11);
+        string_size ~gen:printable (int_range 0 11);
+      ]
+  and num = oneof [ oneofl [ 0; -1; 1; max_int; min_int ]; int ] in
+  let button = oneofl [ Help.Left; Help.Middle; Help.Right ] in
+  let event e = Wal.O_event e in
+  let gen =
+    oneof
+      [
+        map2 (fun x y -> event (Help.Move (x, y))) num num;
+        map (fun b -> event (Help.Press b)) button;
+        map (fun b -> event (Help.Release b)) button;
+        map (fun c -> event (Help.Key c)) char;
+        map (fun s -> event (Help.Type s)) str;
+        map3 (fun w s o -> Wal.O_point (w, s, o)) num str (oneof [ return 0; num ]);
+        map2 (fun w s -> Wal.O_sweep (w, s)) num str;
+        map2 (fun w s -> Wal.O_exec_word (w, s)) num str;
+        map2 (fun w s -> Wal.O_exec_sweep (w, s)) num str;
+        map2 (fun w s -> Wal.O_exec_tag (w, s)) num str;
+        map2 (fun w s -> Wal.O_chord_cut (w, s)) num str;
+        map3 (fun w c y -> Wal.O_drag (w, c, y)) num num num;
+        map (fun w -> Wal.O_click_tab w) num;
+        map (fun p -> Wal.O_open p) str;
+        map2 (fun w s -> Wal.O_ctl (w, s)) num str;
+        map (fun w -> Wal.O_reveal w) num;
+        return Wal.O_draw;
+        map2 (fun p s -> Wal.O_write (p, s)) str str;
+        map2 (fun p s -> Wal.O_append (p, s)) str str;
+        map (fun p -> Wal.O_remove p) str;
+        map (fun p -> Wal.O_mkdir p) str;
+      ]
+  in
+  QCheck.Test.make ~name:"text form round-trips any op" ~count:3000
+    (QCheck.make ~print:Wal.op_to_string gen)
+    (fun op ->
+      let line = Wal.op_to_string op in
+      (not (String.contains line '\n')) && Wal.op_of_string line = op)
 
 let torn_tail_tolerated () =
   Trace.reset ();
@@ -358,6 +409,46 @@ let bugfix_recovers ~remote ~checkpoint_every () =
         (s = s_ref))
     cuts
 
+(* /mnt/help/wal/log is a script: the bug-fix session runs on a logged
+   boot, and its log, read through the mount, is applied line by line
+   to a fresh unlogged boot through the parse-and-apply path helpsim
+   uses.  The log is read after the logged run's final dump and stats,
+   so the read's own 9P traffic falls after the compared point.  The
+   log's first line is boot's logged draw, and its last is the final
+   dump's draw, which the replay's own final dump stands in for. *)
+let log_replays_as_script ~remote () =
+  warm ();
+  let gestures = Lazy.force bugfix_gestures in
+  let store = Wal.create_store () in
+  let t = Session.boot ~h:48 ~remote ~wal:store ~checkpoint_every:6 () in
+  List.iter
+    (fun g ->
+      g t;
+      ignore (Session.screen t))
+    gestures;
+  let d_ref, s_ref = finish t in
+  let lines =
+    Vfs.read_file t.Session.ns "/mnt/help/wal/log"
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  check_int "boot's draw, 20 gestures with their draws, the dump's draw" 42
+    (List.length lines);
+  check_str "the last line is the final dump's draw" "draw"
+    (List.nth lines 41);
+  let r = Session.boot ~h:48 ~remote () in
+  List.iteri
+    (fun i line -> if i < 41 then Session.apply r (Wal.op_of_string line))
+    lines;
+  let d, s = finish r in
+  let unlogged text =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> not (String.starts_with ~prefix:"wal." l))
+  in
+  check_str "screen matches the logged run's" d_ref d;
+  Alcotest.(check (list string))
+    "stats match the logged run's, less wal.*" (unlogged s_ref) (unlogged s)
+
 (* ------------------------------------------------------------------ *)
 (* Satellite regressions *)
 
@@ -428,6 +519,8 @@ let () =
             journal_gap_is_loud;
           Alcotest.test_case "snapshots share unchanged chunks" `Quick
             chunks_shared_across_snapshots;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 21 |])
+            prop_text_roundtrip;
         ] );
       ( "recovery",
         [
@@ -449,7 +542,15 @@ let () =
                  checkpoint_every)
               `Slow
               (bugfix_recovers ~remote ~checkpoint_every))
-          [ (false, 6); (false, 0); (true, 6); (true, 0) ] );
+          [ (false, 6); (false, 0); (true, 6); (true, 0) ]
+        @ List.map
+            (fun remote ->
+              Alcotest.test_case
+                (Printf.sprintf "wal/log replays as a script, %s"
+                   (if remote then "remote" else "local"))
+                `Slow
+                (log_replays_as_script ~remote))
+            [ false; true ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest [ prop_any_cut_recovers ] );
       ( "regressions",
