@@ -246,6 +246,28 @@ let cbr_words_per_unit () =
   analyze_each ();
   (Gc.minor_words () -. w0) /. float_of_int (List.length Corpus.c_files)
 
+(* Minor words of one pruned [grep -n helper42 *.c] through [Rc.run] on
+   a warm 120-unit synthetic corpus (perfbench corpus's query), and per
+   unit of the first [Index.prune] after install, which tokenizes every
+   unit; the gc-smoke gate holds the glob, the pruning and the index
+   build to these figures. *)
+let corpus_grep_words () =
+  let modules = 120 in
+  let ns = Vfs.create () in
+  let dir = Corpus.install_synthetic ns ~modules in
+  let files = List.init modules (fun m -> Printf.sprintf "%s/mod%03d.c" dir m) in
+  let q = Index.plan_literal "warm_the_index_zz" in
+  let w0 = Gc.minor_words () in
+  ignore (Index.prune (Index.create ns) q files);
+  let build = (Gc.minor_words () -. w0) /. float_of_int modules in
+  let sh = Rc.create ns in
+  Coreutils.install sh;
+  let grep () = ignore (Rc.run sh ~cwd:dir "grep -n helper42 *.c") in
+  grep ();
+  let w0 = Gc.minor_words () in
+  grep ();
+  (Gc.minor_words () -. w0, build)
+
 let e4_uses_vs_grep () =
   section "E4" "semantic uses vs textual grep over the help sources";
   let ns = Vfs.create () in
@@ -1321,6 +1343,11 @@ let e14_index ~quick () =
   row "synthetic corpus at %dx: %d units; index built in %.0f ms\n" scale
     modules t_build;
   row "%d docs, %d distinct trigrams, %d postings\n" docs tris posts;
+  let grep_words, build_words = corpus_grep_words () in
+  row "120 units: %.0f minor words per pruned grep -n helper42 *.c through rc,\n\
+       %.0f per unit of the first prune after install\n" grep_words build_words;
+  jcbr "grep_minor_words_pruned_smoke" grep_words;
+  jcbr "index_build_minor_words_per_unit_smoke" build_words;
   j14 "scale" (float_of_int scale);
   j14 "build ms" t_build;
   j14 "docs" (float_of_int docs);
@@ -1591,11 +1618,12 @@ let e15_durability ~quick () =
 
 (* ------------------------------------------------------------------ *)
 (* gc-smoke: the allocation-regression gate.  Re-measures the E13
-   minor-allocation-per-RPC at smoke scale and the C front end's
-   minor words per unit (E4), and fails if either regressed more than
-   25% against its ledgered baseline in BENCH_results.json (allocation
-   counts are deterministic, unlike wall time, so the threshold does
-   not flake). *)
+   minor-allocation-per-RPC at smoke scale, the C front end's minor
+   words per unit (E4), and the pruned corpus grep and the index build
+   (E14), and fails if any regressed more than 25% against its
+   ledgered baseline in BENCH_results.json (allocation counts are
+   deterministic, unlike wall time, so the threshold does not
+   flake). *)
 
 let ledger_float path key =
   match open_in path with
@@ -1648,7 +1676,16 @@ let gc_smoke () =
     gc_check "C front-end minor words/unit" "cbr_minor_words_per_unit_smoke"
       (cbr_words_per_unit ())
   in
-  exit (if rpc && cbr then 0 else 1)
+  let grep_words, build_words = corpus_grep_words () in
+  let grep =
+    gc_check "minor words/pruned corpus grep" "grep_minor_words_pruned_smoke"
+      grep_words
+  in
+  let build =
+    gc_check "index build minor words/unit"
+      "index_build_minor_words_per_unit_smoke" build_words
+  in
+  exit (if rpc && cbr && grep && build then 0 else 1)
 
 (* ------------------------------------------------------------------ *)
 (* E16: the manual as an application — the model's totals and the

@@ -215,22 +215,7 @@ let uses_of p ~file ~line ~name =
 let select_units ?search ~cwd files needle =
   match search with
   | None -> files
-  | Some ix ->
-      let q = Index.plan_literal needle in
-      if not (Index.query_useful q) then files
-      else begin
-        let abs f =
-          if starts_with "/" f then Vfs.normalize f
-          else Vfs.normalize (cwd ^ "/" ^ f)
-        in
-        let pairs = List.map (fun f -> (f, abs f)) files in
-        let keep = Index.prune ix q (List.map snd pairs) in
-        let mem = Hashtbl.create 64 in
-        List.iter (fun p -> Hashtbl.replace mem p ()) keep;
-        List.filter_map
-          (fun (f, a) -> if Hashtbl.mem mem a then Some f else None)
-          pairs
-      end
+  | Some ix -> Index.prune_names ix (Index.plan_literal needle) ~cwd files
 
 let grep_count ?search ns ~cwd files pattern =
   let files =

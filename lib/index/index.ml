@@ -142,7 +142,7 @@ type t = {
   ix_ns : Vfs.t;
   ix_docs : (string, doc) Hashtbl.t;  (* canonical path -> doc *)
   ix_alias : (string, doc) Hashtbl.t;  (* as-given path -> doc (hot lookup) *)
-  ix_post : (int, int list ref) Hashtbl.t;  (* trigram -> sorted ids *)
+  ix_post : (int, int list ref) Hashtbl.t;  (* trigram -> ids, descending *)
   mutable ix_next : int;
   mutable ix_nsgen : int;  (* Vfs.generation at last file sweep *)
   mutable ix_npost : int;
@@ -217,11 +217,14 @@ let tokenize content =
     a
   end
 
-let insert_sorted x l =
+(* Posting lists run in descending id order.  A new document has the
+   largest id so far, so posting it is one cons at the head; only a
+   re-tokenized one lands further in, past the larger ids. *)
+let insert_desc x l =
   let rec go acc = function
-    | [] -> List.rev (x :: acc)
-    | y :: ys when y < x -> go (y :: acc) ys
-    | y :: _ as ys -> if y = x then List.rev_append acc ys else List.rev_append acc (x :: ys)
+    | y :: ys when y > x -> go (y :: acc) ys
+    | y :: _ as ys when y = x -> List.rev_append acc ys
+    | ys -> List.rev_append acc (x :: ys)
   in
   go [] l
 
@@ -234,7 +237,7 @@ let post_add t tri id =
         Hashtbl.add t.ix_post tri r;
         r
   in
-  r := insert_sorted id !r;
+  r := insert_desc id !r;
   t.ix_npost <- t.ix_npost + 1
 
 let post_remove t tri id =
@@ -325,12 +328,10 @@ let new_doc t path =
    a single hash probe on the string as given; normalization runs only
    the first time a spelling is seen, and the result is memoized in the
    alias table. *)
-let doc_of_path t path = Hashtbl.find_opt t.ix_alias path
-
-let ensure_path t path =
-  match Hashtbl.find_opt t.ix_alias path with
-  | Some _ -> ()
-  | None ->
+let doc_of_path t path =
+  match Hashtbl.find t.ix_alias path with
+  | doc -> doc
+  | exception Not_found ->
       let key = Vfs.normalize path in
       let doc =
         match Hashtbl.find_opt t.ix_docs key with
@@ -341,7 +342,8 @@ let ensure_path t path =
             doc
       in
       Hashtbl.replace t.ix_alias path doc;
-      if path <> key then Hashtbl.replace t.ix_alias key doc
+      if path <> key then Hashtbl.replace t.ix_alias key doc;
+      doc
 
 let rebuild t =
   Hashtbl.iter
@@ -359,13 +361,14 @@ let rebuild t =
 
 type cset = C_all | C_ids of int list
 
+(* Both over descending id lists. *)
 let inter a b =
   let rec go acc a b =
     match (a, b) with
     | [], _ | _, [] -> List.rev acc
     | x :: xs, y :: ys ->
         if x = y then go (x :: acc) xs ys
-        else if x < y then go acc xs b
+        else if x > y then go acc xs b
         else go acc a ys
   in
   go [] a b
@@ -376,7 +379,7 @@ let union a b =
     | [], r | r, [] -> List.rev_append acc r
     | x :: xs, y :: ys ->
         if x = y then go (x :: acc) xs ys
-        else if x < y then go (x :: acc) xs b
+        else if x > y then go (x :: acc) xs b
         else go (y :: acc) a ys
   in
   go [] a b
@@ -415,23 +418,25 @@ let prune t q paths =
   Trace.with_span "index.query" (fun () ->
       t.ix_queries <- t.ix_queries + 1;
       validate t;
-      List.iter (ensure_path t) paths;
+      let docs = List.map (doc_of_path t) paths in
       match eval t q with
       | C_all ->
           t.ix_fallbacks <- t.ix_fallbacks + 1;
           Trace.incr c_fallbacks;
           paths
       | C_ids ids ->
-          let mem = Hashtbl.create (List.length ids) in
-          List.iter (fun id -> Hashtbl.replace mem id ()) ids;
-          let keep =
-            List.filter
-              (fun p ->
-                match doc_of_path t p with
-                | Some doc when doc.d_ok -> Hashtbl.mem mem doc.d_id
-                | _ -> true (* unindexable: let the scan report it *))
-              paths
+          let mark = Bytes.make t.ix_next '\000' in
+          List.iter (fun id -> Bytes.set mark id '\001') ids;
+          let rec filter acc paths docs =
+            match (paths, docs) with
+            | p :: paths, doc :: docs ->
+                (* an unindexable doc is kept: let the scan report it *)
+                if (not doc.d_ok) || Bytes.get mark doc.d_id <> '\000' then
+                  filter (p :: acc) paths docs
+                else filter acc paths docs
+            | _ -> List.rev acc
           in
+          let keep = filter [] paths docs in
           let kept = List.length keep in
           let skipped = List.length paths - kept in
           t.ix_candidates <- t.ix_candidates + kept;
@@ -441,6 +446,27 @@ let prune t q paths =
           Trace.set_gauge g_docs (Hashtbl.length t.ix_docs);
           Trace.set_gauge g_postings t.ix_npost;
           keep)
+
+let prune_names t q ~cwd names =
+  if not (query_useful q) then names
+  else begin
+    let paths =
+      List.map
+        (fun f ->
+          if String.length f > 0 && f.[0] = '/' then Vfs.normalize f
+          else Vfs.normalize (cwd ^ "/" ^ f))
+        names
+    in
+    (* [prune] keeps a sub-list of [paths], in order *)
+    let rec walk acc names paths keep =
+      match (names, paths, keep) with
+      | name :: names, p :: paths, k :: ks ->
+          if String.equal p k then walk (name :: acc) names paths ks
+          else walk acc names paths keep
+      | _ -> List.rev acc
+    in
+    walk [] names paths (prune t q paths)
+  end
 
 type hit = {
   h_doc : string;

@@ -65,10 +65,18 @@ val rebuild : t -> unit
 (** {1 Queries} *)
 
 (** [prune t q paths] — the sublist of [paths] that can possibly
-    contain a match of [q].  Unknown paths are tokenized on the spot;
-    stale ones re-tokenized; unreadable ones kept (the caller's scan
-    reports the error exactly as an unindexed one would). *)
+    contain a match of [q]: the same strings, in order.  Unknown paths
+    are tokenized on the spot; stale ones re-tokenized; unreadable ones
+    kept (the caller's scan reports the error exactly as an unindexed
+    one would). *)
 val prune : t -> query -> string list -> string list
+
+(** [prune_names t q ~cwd names] — {!prune} for file names as a tool
+    was given them, absolute or relative to [cwd]: the sublist of
+    [names] whose files can possibly contain a match of [q], or all of
+    [names] when [q] is {!Q_all}.  Coreutils [grep] and the [Cbr]
+    queries select their files through this. *)
+val prune_names : t -> query -> cwd:string -> string list -> string list
 
 (** One matching line of one document. *)
 type hit = {

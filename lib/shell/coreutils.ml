@@ -166,18 +166,12 @@ let grep proc args =
             else
               let q = Index.plan re in
               if not (Index.query_useful q) then files
-              else begin
-                let pairs = List.map (fun f -> (f, abspath proc f)) files in
-                let idx = Index.of_ns (Rc.proc_ns proc) in
-                let keep = Index.prune idx q (List.map snd pairs) in
-                let mem = Hashtbl.create 16 in
-                List.iter (fun p -> Hashtbl.replace mem p ()) keep;
-                (* unreadable paths survive [prune], so error reporting
+              else
+                (* unreadable paths survive pruning, so error reporting
                    is untouched *)
-                List.filter_map
-                  (fun (f, a) -> if Hashtbl.mem mem a then Some f else None)
-                  pairs
-              end
+                Index.prune_names
+                  (Index.of_ns (Rc.proc_ns proc))
+                  q ~cwd:(Rc.proc_cwd proc) files
           in
           (match files with
           | [] -> scan None (Rc.proc_stdin proc)

@@ -1,12 +1,19 @@
 (* File-name patterns for the shell: *, ?, [a-z], with quoting respected
    (quoted pieces of a word never act as metacharacters).  Expansion
-   walks the VFS, per path component, as rc does. *)
+   walks the VFS, per path component, as rc does.
+
+   A pattern compiles once into an array of tokens; matching a name is
+   a two-pointer scan that allocates nothing.  Every token but [*]
+   consumes exactly one byte, so on a mismatch the scan only has to
+   retry from the most recent star, one byte further along. *)
 
 type gtok =
   | Gchar of char
   | Gstar
   | Gquest
-  | Gclass of bool * (char * char) list
+  | Gclass of Bytes.t  (* 256 entries, nonzero for a member byte *)
+
+type pattern = gtok array
 
 (* A word after variable expansion: chunks tagged with quotedness. *)
 type chunk = string * bool (* text, quoted *)
@@ -19,8 +26,19 @@ let has_meta chunks =
 
 let literal chunks = String.concat "" (List.map fst chunks)
 
+(* A class [neg] over [ranges] as a membership table. *)
+let class_table neg ranges =
+  let t = Bytes.make 256 (if neg then '\001' else '\000') in
+  List.iter
+    (fun (lo, hi) ->
+      for c = Char.code lo to Char.code hi do
+        Bytes.set t c (if neg then '\000' else '\001')
+      done)
+    ranges;
+  t
+
 (* Compile chunks to glob tokens; quoted text is all-literal. *)
-let compile chunks =
+let compile chunks : pattern =
   let toks = ref [] in
   let emit t = toks := t :: !toks in
   List.iter
@@ -56,7 +74,7 @@ let compile chunks =
                 end
               done;
               if !ok then begin
-                emit (Gclass (neg, List.rev !ranges));
+                emit (Gclass (class_table neg !ranges));
                 i := !j
               end
               else emit (Gchar '[')
@@ -65,106 +83,86 @@ let compile chunks =
         done
       end)
     chunks;
-  List.rev !toks
+  Array.of_list (List.rev !toks)
 
-(* Match a token list against a string (whole-string match). *)
-let matches toks s =
+(* Does token [t] (not a star) accept byte [c]? *)
+let accepts t c =
+  match t with
+  | Gchar d -> c = d
+  | Gquest -> true
+  | Gclass tbl -> Bytes.unsafe_get tbl (Char.code c) <> '\000'
+  | Gstar -> false
+
+(* Whole-string match of [p.(lo) .. p.(hi - 1)] against [s].  [star] is
+   the index of the last star seen (-1 before any) and [mark] the byte
+   its current try resumes after. *)
+let match_range p lo hi s =
   let n = String.length s in
-  let toks = Array.of_list toks in
-  let m = Array.length toks in
-  (* memoized on (ti, si) *)
-  let memo = Hashtbl.create 64 in
-  let rec go ti si =
-    match Hashtbl.find_opt memo (ti, si) with
-    | Some v -> v
-    | None ->
-        let v =
-          if ti = m then si = n
-          else
-            match toks.(ti) with
-            | Gchar c -> si < n && s.[si] = c && go (ti + 1) (si + 1)
-            | Gquest -> si < n && go (ti + 1) (si + 1)
-            | Gclass (neg, ranges) ->
-                si < n
-                && (let inside =
-                      List.exists (fun (lo, hi) -> s.[si] >= lo && s.[si] <= hi) ranges
-                    in
-                    if neg then not inside else inside)
-                && go (ti + 1) (si + 1)
-            | Gstar -> go (ti + 1) si || (si < n && go ti (si + 1))
-        in
-        Hashtbl.add memo (ti, si) v;
-        v
+  let rec go pi si star mark =
+    if si < n then
+      if pi < hi && p.(pi) == Gstar then go (pi + 1) si pi si
+      else if pi < hi && accepts p.(pi) (String.unsafe_get s si) then
+        go (pi + 1) (si + 1) star mark
+      else if star >= 0 then go (star + 1) (mark + 1) star (mark + 1)
+      else false
+    else
+      let rec stars pi = pi = hi || (p.(pi) == Gstar && stars (pi + 1)) in
+      stars pi
   in
-  go 0 0
+  go lo 0 (-1) 0
 
-(* Split glob tokens into path components on literal '/'. *)
-let split_components toks =
-  let rec go current acc = function
-    | [] -> List.rev (List.rev current :: acc)
-    | Gchar '/' :: rest -> go [] (List.rev current :: acc) rest
-    | t :: rest -> go (t :: current) acc rest
-  in
-  go [] [] toks
-
-let component_is_literal toks =
-  List.for_all (function Gchar _ -> true | _ -> false) toks
-
-let component_text toks =
-  String.concat ""
-    (List.map (function Gchar c -> String.make 1 c | _ -> assert false) toks)
+let matches p s = match_range p 0 (Array.length p) s
 
 (* Expand a pattern word against the file system.  Returns matches in
    sorted order; [] when nothing matches (caller decides to keep the
-   literal word, as rc does). *)
+   literal word, as rc does).  Relative patterns yield names relative
+   to [cwd], built as they are matched. *)
 let expand ns ~cwd chunks =
-  let toks = compile chunks in
-  let absolute = match toks with Gchar '/' :: _ -> true | _ -> false in
-  let comps = split_components toks in
-  let comps = if absolute then List.tl comps else comps in
-  let start = if absolute then "/" else cwd in
-  let rec walk dir comps =
-    match comps with
-    | [] -> [ dir ]
-    | comp :: rest ->
-        if comp = [] then walk dir rest (* "//" or trailing slash *)
-        else if component_is_literal comp then begin
-          let name = component_text comp in
-          let path =
-            if dir = "/" then "/" ^ name else dir ^ "/" ^ name
-          in
-          if Vfs.exists ns path then walk path rest else []
-        end
-        else begin
-          match Vfs.readdir ns dir with
-          | entries ->
-              List.concat_map
-                (fun (st : Vfs.stat) ->
-                  if matches comp st.st_name then
-                    let path =
-                      if dir = "/" then "/" ^ st.st_name
-                      else dir ^ "/" ^ st.st_name
-                    in
-                    if rest = [] then [ path ]
-                    else if st.st_dir then walk path rest
-                    else []
-                  else [])
-                entries
-          | exception Vfs.Error _ -> []
-        end
+  let p = compile chunks in
+  let m = Array.length p in
+  let absolute = m > 0 && p.(0) = Gchar '/' in
+  (* components are the token ranges [lo, hi) between literal '/'s; an
+     empty one ("//" or a trailing '/') is skipped *)
+  let rec component_end i =
+    if i = m then i else match p.(i) with Gchar '/' -> i | _ -> component_end (i + 1)
   in
-  let results = walk start comps in
-  (* Relative patterns yield relative names, as in rc. *)
-  let results =
-    if absolute then results
+  let rec is_literal i hi =
+    i = hi || (match p.(i) with Gchar _ -> is_literal (i + 1) hi | _ -> false)
+  in
+  let literal_text lo hi =
+    String.init (hi - lo) (fun i -> match p.(lo + i) with Gchar c -> c | _ -> assert false)
+  in
+  let join dir name = if dir = "/" then "/" ^ name else dir ^ "/" ^ name in
+  (* [dir] is the directory a component is matched in, and [shown] what
+     a result under it prints as: from "/" for an absolute pattern, and
+     from "" (relative to [cwd]) for a relative one *)
+  let child shown name = if shown = "" then name else join shown name in
+  let rec walk dir shown lo acc =
+    if lo >= m then shown :: acc
     else
-      let prefix = if cwd = "/" then "/" else cwd ^ "/" in
-      let plen = String.length prefix in
-      List.map
-        (fun p ->
-          if String.length p >= plen && String.sub p 0 plen = prefix then
-            String.sub p plen (String.length p - plen)
-          else p)
-        results
+      let hi = component_end lo in
+      if hi = lo then walk dir shown (lo + 1) acc
+      else if is_literal lo hi then begin
+        let name = literal_text lo hi in
+        let path = join dir name in
+        if Vfs.exists ns path then walk path (child shown name) hi acc else acc
+      end
+      else
+        match Vfs.readdir ns dir with
+        | entries ->
+            List.fold_left
+              (fun acc (st : Vfs.stat) ->
+                let name = st.st_name in
+                if not (match_range p lo hi name) then acc
+                else if hi = m then child shown name :: acc
+                else if st.st_dir then walk (join dir name) (child shown name) hi acc
+                else acc)
+              acc entries
+        | exception Vfs.Error _ -> acc
   in
-  List.sort_uniq compare results
+  let results = List.rev (if absolute then walk "/" "/" 0 [] else walk cwd "" 0 []) in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> String.compare a b < 0 && ascending rest
+    | _ -> true
+  in
+  if ascending results then results else List.sort_uniq String.compare results

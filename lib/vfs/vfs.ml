@@ -60,7 +60,24 @@ let split_path path =
 
 let join_path comps = "/" ^ String.concat "/" comps
 
-let normalize path = join_path (split_path path)
+(* Is [path] already what [join_path (split_path path)] returns:
+   absolute, with no empty, "." or ".." component and no trailing '/'?
+   One scan, no allocation; [i] starts a component. *)
+let rec component_end path n i =
+  if i < n && String.unsafe_get path i <> '/' then component_end path n (i + 1) else i
+
+let rec canonical_from path n i =
+  let j = component_end path n i in
+  let len = j - i in
+  len > 0
+  && (not (path.[i] = '.' && (len = 1 || (len = 2 && path.[i + 1] = '.'))))
+  && (j = n || canonical_from path n (j + 1))
+
+let canonical path =
+  let n = String.length path in
+  n > 0 && path.[0] = '/' && (n = 1 || canonical_from path n 1)
+
+let normalize path = if canonical path then path else join_path (split_path path)
 
 let dirname path =
   match List.rev (split_path path) with

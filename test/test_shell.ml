@@ -288,39 +288,117 @@ let prop_parser_total =
       | exception Rc_parser.Parse_error _ -> true
       | exception Rc_lexer.Lex_error _ -> true)
 
-(* property: component glob matching agrees with a naive reference *)
-let rec ref_glob pat s pi si =
-  let np = String.length pat and ns = String.length s in
-  if pi = np then si = ns
-  else
-    match pat.[pi] with
-    | '*' -> ref_glob pat s (pi + 1) si || (si < ns && ref_glob pat s pi (si + 1))
-    | '?' -> si < ns && ref_glob pat s (pi + 1) (si + 1)
-    | c -> si < ns && s.[si] = c && ref_glob pat s (pi + 1) (si + 1)
+(* property: glob matching agrees with the reference matcher
+   (test/rc_glob_ref.ml) on words of unquoted and quoted chunks: stars,
+   question marks, classes with ranges, negation and a leading ']',
+   unterminated '[' and stray class syntax, against names drawn from
+   the same bytes (up to 12 of them) or spelled from the word. *)
+let glob_piece =
+  QCheck.Gen.(
+    frequency
+      [ (8, oneofl [ "a"; "b"; "c" ]); (3, return "*"); (2, return "?");
+        (1, oneofl [ "[a-c]"; "[^b]"; "[]a]"; "[b-a]"; "[^]]" ]);
+        (1, oneofl [ "["; "]"; "-"; "^" ]) ])
+
+let glob_word =
+  QCheck.Gen.(
+    list_size (int_range 1 3)
+      (pair (list_size (int_range 0 5) glob_piece >|= String.concat "")
+         (frequency [ (3, return false); (1, return true) ])))
+
+let glob_name =
+  QCheck.Gen.(
+    string_size
+      ~gen:(frequency [ (8, oneofl [ 'a'; 'b'; 'c' ]);
+                        (1, oneofl [ '*'; '?'; '['; ']'; '-'; '^' ]) ])
+      (int_range 0 12))
+
+(* A name spelled from the word itself, each unquoted '*' standing for
+   up to three letters and each '?' for one, so that about half the
+   drawn cases match. *)
+let glob_instance chunks =
+  let letter = QCheck.Gen.oneofl [ 'a'; 'b'; 'c' ] in
+  let part (text, quoted) =
+    if quoted then QCheck.Gen.return text
+    else
+      QCheck.Gen.(
+        flatten_l
+          (List.map
+             (function
+               | '*' -> string_size ~gen:letter (int_range 0 3)
+               | '?' -> map (String.make 1) letter
+               | c -> return (String.make 1 c))
+             (List.of_seq (String.to_seq text)))
+        >|= String.concat "")
+  in
+  QCheck.Gen.(flatten_l (List.map part chunks) >|= String.concat "")
+
+let print_word chunks =
+  String.concat " + "
+    (List.map (fun (s, q) -> Printf.sprintf (if q then "'%s'" else "%s") s) chunks)
 
 let prop_glob_vs_reference =
-  let pat_gen =
-    QCheck.Gen.(
-      string_size
-        ~gen:(frequency [ (4, map Char.chr (int_range 97 99)); (2, return '*'); (1, return '?') ])
-        (int_range 0 8))
-  in
-  let str_gen =
-    QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 97 99)) (int_range 0 8))
-  in
   QCheck.Test.make ~name:"glob matching agrees with a naive reference"
-    ~count:1000
-    (QCheck.make ~print:(fun (p, s) -> Printf.sprintf "pat=%S s=%S" p s)
-       (QCheck.Gen.pair pat_gen str_gen))
-    (fun (pat, s) ->
-      Rc_glob.matches (Rc_glob.compile [ (pat, false) ]) s
-      = ref_glob pat s 0 0)
+    ~count:3000
+    (QCheck.make
+       ~print:(fun (w, s) -> Printf.sprintf "pat=%s s=%S" (print_word w) s)
+       QCheck.Gen.(
+         glob_word >>= fun w ->
+         pair (return w) (frequency [ (1, glob_name); (1, glob_instance w) ])))
+    (fun (chunks, s) ->
+      Rc_glob.matches (Rc_glob.compile chunks) s
+      = Rc_glob_ref.matches (Rc_glob_ref.compile chunks) s)
+
+(* property: expansion agrees with the reference's on a generated tree
+   under /t, for relative, absolute, "./" and "../" patterns of one to
+   three components, with "//" and a trailing '/', from several cwds. *)
+let glob_tree =
+  QCheck.Gen.(
+    list_size (int_range 1 14)
+      (list_size (int_range 1 3)
+         (oneofl [ "a"; "b"; "ab"; "b1.c"; "bb.c"; "a.c"; "c.h" ])))
+
+let glob_pattern =
+  QCheck.Gen.(
+    triple
+      (oneofl [ ""; "/t/"; "../"; "./"; "/t//"; "/"; "../../t/" ])
+      (list_size (int_range 1 3)
+         (oneofl [ "*"; "b?.c"; "*.c"; "[ab]*"; "a"; "ab"; "?"; "*b*"; "[^a]*"; ".." ]))
+      bool
+    >|= fun (prefix, comps, trailing) ->
+    prefix ^ String.concat "/" comps ^ if trailing then "/" else "")
+
+let prop_expand_vs_reference =
+  QCheck.Test.make ~name:"glob expansion agrees with the reference" ~count:500
+    (QCheck.make
+       ~print:(fun (tree, pat, cwd) ->
+         Printf.sprintf "tree=[%s] pat=%S cwd=%S"
+           (String.concat "; " (List.map (String.concat "/") tree))
+           pat cwd)
+       (QCheck.Gen.triple glob_tree glob_pattern
+          (QCheck.Gen.oneofl [ "/t"; "/t/a"; "/t/ab"; "/"; "/t/b/" ])))
+    (fun (tree, pat, cwd) ->
+      let ns = Vfs.create () in
+      Vfs.mkdir_p ns "/t";
+      List.iter
+        (fun comps ->
+          let path = "/t/" ^ String.concat "/" comps in
+          try
+            Vfs.mkdir_p ns (Vfs.dirname path);
+            Vfs.write_file ns path "x"
+          with Vfs.Error _ -> ())
+        tree;
+      let chunks = [ (pat, false) ] in
+      Rc_glob.expand ns ~cwd chunks = Rc_glob_ref.expand ns ~cwd chunks)
 
 let prop_echo_roundtrip =
   QCheck.Test.make ~name:"echo of quoted text is identity" ~count:200
     (QCheck.make
        QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 97 122)) (int_range 1 20)))
     (fun s -> out (Printf.sprintf "echo '%s'" s) = s ^ "\n")
+
+(* Properties draw from a fixed seed: every run checks the same cases. *)
+let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 47 |]) t
 
 let () =
   Alcotest.run "shell"
@@ -331,7 +409,7 @@ let () =
       ("redirect", redirect_tests);
       ("scripts", script_tests);
       ( "property",
-        List.map QCheck_alcotest.to_alcotest
+        List.map seeded
           [ prop_lexer_total; prop_parser_total; prop_glob_vs_reference;
-            prop_echo_roundtrip ] );
+            prop_expand_vs_reference; prop_echo_roundtrip ] );
     ]

@@ -222,31 +222,47 @@ let prop_model =
            (fun path data acc -> acc && Vfs.read_file ns path = data)
            model true)
 
+(* Paths absolute or relative (the empty path among them), with empty,
+   ".", ".." and dot-led components and an optional trailing '/'. *)
 let path_gen =
   QCheck.Gen.(
-    list_size (int_range 0 6)
-      (oneof [ return "."; return ".."; return "a"; return "bb"; return "c3" ])
-    >|= fun parts -> "/" ^ String.concat "/" parts)
+    triple bool
+      (list_size (int_range 0 6)
+         (frequency
+            [ (4, oneofl [ "a"; "bb"; "c3" ]); (2, oneofl [ "."; ".." ]);
+              (1, oneofl [ ""; ".a"; "..b"; "..." ]) ]))
+      bool
+    >|= fun (absolute, parts, trailing) ->
+    (if absolute then "/" else "")
+    ^ String.concat "/" parts
+    ^ if trailing then "/" else "")
 
+(* Normalizing is splitting into components and joining them again; a
+   path already in that form comes back as it is. *)
 let prop_normalize_idempotent =
-  QCheck.Test.make ~name:"normalize is idempotent" ~count:300
-    (QCheck.make ~print:(fun s -> s) path_gen)
-    (fun p -> Vfs.normalize (Vfs.normalize p) = Vfs.normalize p)
+  QCheck.Test.make ~name:"normalize is idempotent" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") path_gen)
+    (fun p ->
+      Vfs.normalize p = Vfs.join_path (Vfs.split_path p)
+      && Vfs.normalize (Vfs.normalize p) = Vfs.normalize p)
 
 let prop_normalize_clean =
   QCheck.Test.make ~name:"normalized paths have no dot components" ~count:300
-    (QCheck.make ~print:(fun s -> s) path_gen)
+    (QCheck.make ~print:(Printf.sprintf "%S") path_gen)
     (fun p ->
       let comps = Vfs.split_path (Vfs.normalize p) in
       List.for_all (fun c -> c <> "." && c <> ".." && c <> "") comps)
 
 let prop_dirname_basename =
   QCheck.Test.make ~name:"dirname/basename recompose" ~count:300
-    (QCheck.make ~print:(fun s -> s) path_gen)
+    (QCheck.make ~print:(Printf.sprintf "%S") path_gen)
     (fun p ->
       let p = Vfs.normalize p in
       p = "/"
       || Vfs.normalize (Vfs.dirname p ^ "/" ^ Vfs.basename p) = p)
+
+(* Properties draw from a fixed seed: every run checks the same cases. *)
+let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 53 |]) t
 
 let () =
   Alcotest.run "vfs"
@@ -256,7 +272,7 @@ let () =
       ("mounts", mount_tests);
       ("handles", handle_tests);
       ( "property",
-        List.map QCheck_alcotest.to_alcotest
+        List.map seeded
           [ prop_model; prop_normalize_idempotent; prop_normalize_clean;
             prop_dirname_basename ] );
     ]
