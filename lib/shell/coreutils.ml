@@ -164,14 +164,11 @@ let grep proc args =
           let prune files =
             if invert || nocase || List.length files < 2 then files
             else
-              let q = Index.plan re in
-              if not (Index.query_useful q) then files
-              else
-                (* unreadable paths survive pruning, so error reporting
-                   is untouched *)
-                Index.prune_names
-                  (Index.of_ns (Rc.proc_ns proc))
-                  q ~cwd:(Rc.proc_cwd proc) files
+              (* unreadable paths survive pruning, so error reporting
+                 is untouched *)
+              Index.prune_names
+                (Index.of_ns (Rc.proc_ns proc))
+                (Index.plan re) ~cwd:(Rc.proc_cwd proc) files
           in
           (match files with
           | [] -> scan None (Rc.proc_stdin proc)

@@ -161,6 +161,9 @@ let expand ns ~cwd chunks =
         | exception Vfs.Error _ -> acc
   in
   let results = List.rev (if absolute then walk "/" "/" 0 [] else walk cwd "" 0 []) in
+  (* [Vfs.readdir] lists a directory in order, so one matched component
+     yields its results ascending; a '/' can break the order ("a" lists
+     before "a-c", but "a-c/b" sorts before "a/b"), so sort only then *)
   let rec ascending = function
     | a :: (b :: _ as rest) -> String.compare a b < 0 && ascending rest
     | _ -> true

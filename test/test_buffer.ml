@@ -130,14 +130,11 @@ let prop_undo_redo_roundtrip =
       ignore (Buffer0.redo b);
       Buffer0.to_string b = after)
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 3 |]) t
-
 let () =
   Alcotest.run "buffer0"
     [
       ("unit", unit_tests);
       ( "property",
-        List.map seeded
+        List.map (Seeded.to_alcotest 3)
           [ prop_undo_inverts; prop_undo_redo_roundtrip ] );
     ]

@@ -488,8 +488,7 @@ let () =
     [
       ( "lexer",
         lexer_tests
-        @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |])
-              prop_lexer_vs_reference ] );
+        @ [ Seeded.to_alcotest 18 prop_lexer_vs_reference ] );
       ("cpp", cpp_tests);
       ("analysis", analysis_tests);
       ("snippets", snippet_tests);

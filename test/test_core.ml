@@ -713,9 +713,6 @@ let prop_word_expansion_idempotent =
               (fun c -> not (c = ' ' || c = '\t' || c = '\n'))
               (String.sub s a (b - a))))
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 5 |]) t
-
 let () =
   Alcotest.run "core"
     [
@@ -726,6 +723,6 @@ let () =
       ("select", select_tests);
       ("events", event_tests);
       ( "property",
-        List.map seeded
+        List.map (Seeded.to_alcotest 5)
           [ prop_column_invariants; prop_word_expansion_idempotent ] );
     ]

@@ -150,11 +150,8 @@ let fuzz_mutilated =
       && List.for_all (decodes_safely Nine.decode_r)
            (mutilate (Nine.encode_r ~tag:7 r)))
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |]) t
-
 let fuzz_tests =
-  List.map seeded
+  List.map (Seeded.to_alcotest 7)
     [ fuzz_arbitrary; fuzz_roundtrip_t; fuzz_roundtrip_r; fuzz_mutilated ]
 
 (* ------------------------------------------------------------------ *)

@@ -137,15 +137,12 @@ let prop_coverage =
       in
       n = 0 || (Frame.row_start f 0 = 0 && check 1 (Frame.row_start f 0)))
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 11 |]) t
-
 let () =
   Alcotest.run "frame"
     [
       ("screen", screen_tests);
       ("layout", layout_tests);
       ( "property",
-        List.map seeded
+        List.map (Seeded.to_alcotest 11)
           [ prop_bijection; prop_rows_bounded; prop_coverage ] );
     ]

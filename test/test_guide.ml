@@ -515,14 +515,11 @@ let session_tests =
         check_str "byte-identical" (drive ()) (drive ()));
   ]
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 13 |]) t
-
 let () =
   Alcotest.run "guide"
     [
       ("parser", parser_tests);
-      ("property", [ seeded prop_roundtrip ]);
+      ("property", [ Seeded.to_alcotest 13 prop_roundtrip ]);
       ("manual", manual_tests);
       ( "lint",
         [

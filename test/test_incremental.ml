@@ -222,14 +222,11 @@ let prop_analyze_identical =
              agree ())
            edits)
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |]) t
-
 let () =
   Alcotest.run "incremental"
     [
       ("unit", unit_tests);
       ( "property",
-        List.map seeded
+        List.map (Seeded.to_alcotest 17)
           [ prop_draw_identical; prop_analyze_identical ] );
     ]

@@ -229,7 +229,7 @@ let apply_op ns (file, (pos, (len, ins))) =
 let prop_file_edits =
   QCheck.Test.make
     ~name:"indexed file search equals linear search under any edit script"
-    ~count:40 ops_gen (fun ops ->
+    ~count:60 ops_gen (fun ops ->
       let ns = Vfs.create () in
       Vfs.mkdir_p ns "/src";
       List.iter (fun (p, text) -> Vfs.write_file ns p text) prop_files;
@@ -251,9 +251,6 @@ let prop_file_edits =
           && Index.sizes ix = Index.sizes fresh)
         ops)
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |]) t
-
 let () =
   Alcotest.run "index"
     [
@@ -267,6 +264,6 @@ let () =
           Alcotest.test_case "rebuild control" `Quick rebuild_control;
           Alcotest.test_case "a booted session's corpus and index files"
             `Quick session_index;
-          seeded prop_file_edits;
+          Seeded.to_alcotest 19 prop_file_edits;
         ] );
     ]

@@ -140,13 +140,10 @@ let prop_roundtrip =
              && String.trim a.Mail.m_body = String.trim b.Mail.m_body)
            msgs again)
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |]) t
-
 let () =
   Alcotest.run "mail"
     [
       ("mbox", parse_tests);
       ("tools", tool_tests);
-      ("property", [ seeded prop_roundtrip ]);
+      ("property", [ Seeded.to_alcotest 23 prop_roundtrip ]);
     ]

@@ -292,14 +292,12 @@ let protocol_tests =
         | _ -> Alcotest.fail "walk f");
   ]
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |]) t
-
 let () =
   Alcotest.run "nine"
     [
       ("codec", codec_tests);
-      ("property", List.map seeded [ prop_twrite; prop_twalk ]);
+      ( "property",
+        List.map (Seeded.to_alcotest 29) [ prop_twrite; prop_twalk ] );
       ("end-to-end", e2e_tests);
       ("protocol", protocol_tests);
     ]

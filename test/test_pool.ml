@@ -635,12 +635,10 @@ let () =
     [
       ("flush", flush_tests);
       ( "isolation",
-        isolation_tests @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
-            isolation_property ] );
+        isolation_tests @ [ Seeded.to_alcotest 31 isolation_property ] );
       ("fairness", fairness_tests);
       ( "scheduler",
-        scheduler_tests @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 37 |])
-            backpressure_property ]
+        scheduler_tests @ [ Seeded.to_alcotest 37 backpressure_property ]
       );
       ("client", client_tests);
       ("session", session_tests);

@@ -396,9 +396,6 @@ let dfa_tests =
           "idempotent finish" (Some (3, 8)) (Regexp.Stream.finish cu));
   ]
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 41 |]) t
-
 let () =
   Alcotest.run "regexp"
     [
@@ -408,7 +405,7 @@ let () =
       ( "property",
         Alcotest.test_case "engines agree on a fixed battery" `Quick
           battery_agrees
-        :: List.map seeded
+        :: List.map (Seeded.to_alcotest 41)
              [
                prop_vs_reference;
                prop_search_bounds;

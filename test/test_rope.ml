@@ -179,15 +179,12 @@ let prop_height_bounded =
       (* a 16 KB rope must stay far below the degenerate height *)
       Rope.check !r && Rope.height !r <= 40)
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 43 |]) t
-
 let () =
   Alcotest.run "rope"
     [
       ("unit", unit_tests);
       ( "property",
-        List.map seeded
+        List.map (Seeded.to_alcotest 43)
           [ prop_insert; prop_delete; prop_split_concat; prop_line_roundtrip;
             prop_balanced; prop_height_bounded ] );
     ]

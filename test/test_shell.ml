@@ -397,9 +397,6 @@ let prop_echo_roundtrip =
        QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 97 122)) (int_range 1 20)))
     (fun s -> out (Printf.sprintf "echo '%s'" s) = s ^ "\n")
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 47 |]) t
-
 let () =
   Alcotest.run "shell"
     [
@@ -409,7 +406,7 @@ let () =
       ("redirect", redirect_tests);
       ("scripts", script_tests);
       ( "property",
-        List.map seeded
+        List.map (Seeded.to_alcotest 47)
           [ prop_lexer_total; prop_parser_total; prop_glob_vs_reference;
             prop_expand_vs_reference; prop_echo_roundtrip ] );
     ]

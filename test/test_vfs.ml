@@ -261,9 +261,6 @@ let prop_dirname_basename =
       p = "/"
       || Vfs.normalize (Vfs.dirname p ^ "/" ^ Vfs.basename p) = p)
 
-(* Properties draw from a fixed seed: every run checks the same cases. *)
-let seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 53 |]) t
-
 let () =
   Alcotest.run "vfs"
     [
@@ -272,7 +269,7 @@ let () =
       ("mounts", mount_tests);
       ("handles", handle_tests);
       ( "property",
-        List.map seeded
+        List.map (Seeded.to_alcotest 53)
           [ prop_model; prop_normalize_idempotent; prop_normalize_clean;
             prop_dirname_basename ] );
     ]

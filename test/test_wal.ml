@@ -520,8 +520,7 @@ let () =
             journal_gap_is_loud;
           Alcotest.test_case "snapshots share unchanged chunks" `Quick
             chunks_shared_across_snapshots;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 21 |])
-            prop_text_roundtrip;
+          Seeded.to_alcotest 21 prop_text_roundtrip;
         ] );
       ( "recovery",
         [
@@ -553,8 +552,7 @@ let () =
                 (log_replays_as_script ~remote))
             [ false; true ] );
       ( "property",
-        [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 59 |])
-            prop_any_cut_recovers ] );
+        [ Seeded.to_alcotest 59 prop_any_cut_recovers ] );
       ( "regressions",
         [
           Alcotest.test_case "index stays fresh across mutating paths" `Quick
