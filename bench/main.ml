@@ -602,6 +602,70 @@ let repeated ~setup f =
 let e10_row ?(unit = "ms") label sp note =
   row "  %-44s %9.3f %s  iqr %7.3f%s\n" label sp.median unit sp.iqr note
 
+(* Words one replay of the paper's bug-fix session (Figures 4-12)
+   allocates directly in the major heap: its twenty gestures, each
+   followed by a [Session.screen], as perfbench's bugfix workload runs
+   them.  [major_words] less [promoted_words] leaves out what minor
+   collections moved there.  A screen-sized block (4,800 cells) is too
+   big for the minor heap, so a draw that copied the screen showed up
+   here; the gc-smoke gate holds drawing to this figure.  A first
+   replay warms the process-wide caches. *)
+let bugfix_major_words () =
+  let replay () =
+    let t = Session.boot ~h:48 () in
+    let src = Corpus.src_dir in
+    let addr file needle =
+      file ^ ":"
+      ^ string_of_int (Corpus.line_of t.Session.ns (src ^ "/" ^ file) needle)
+    in
+    let w = Session.win t in
+    let stack = ref None and uses = ref None in
+    let last r () = r := Some (Session.last_window t) in
+    let get r = Option.get !r in
+    let gestures =
+      [
+        (fun () -> Session.exec_word t (w "/help/mail/stf") "headers");
+        (fun () -> Session.point_at t (w Corpus.mbox_path) "2 sean");
+        (fun () -> Session.exec_word t (w "/help/mail/stf") "messages");
+        (fun () -> Session.point_at t (w "From") "176153" ~off:2);
+        (fun () ->
+          Session.exec_word t (w "/help/db/stf") "stack";
+          last stack ());
+        (fun () -> Session.drag_window t (get stack) ~col:0 ~y:1);
+        (fun () ->
+          Session.point_at t (get stack) (addr "text.c" "strlen((char*)s)"));
+        (fun () -> Session.exec_word t (w "/help/edit/stf") "Open");
+        (fun () -> Session.exec_tag_word t (w (src ^ "/text.c")) "Close!");
+        (fun () ->
+          Session.point_at t (get stack) (addr "exec.c" "errs((uchar*)n)"));
+        (fun () -> Session.exec_word t (w "/help/edit/stf") "Open");
+        (fun () -> Session.point_at t (w (src ^ "/exec.c")) "(uchar*)n)" ~off:8);
+        (fun () ->
+          Session.exec_sweep t (w "/help/cbr/stf") "uses *.c";
+          last uses ());
+        (fun () ->
+          Session.point_at t (get uses) (addr "help.c" "n = \"a test string\""));
+        (fun () -> Session.exec_word t (w "/help/edit/stf") "Open");
+        (fun () -> Session.point_at t (get uses) (addr "exec.c" "n = 0;"));
+        (fun () -> Session.exec_word t (w "/help/edit/stf") "Open");
+        (fun () ->
+          Session.sweep_and_chord_cut t (w (src ^ "/exec.c")) Demo.offending_line);
+        (fun () -> Session.exec_tag_word t (w (src ^ "/exec.c")) "Put!");
+        (fun () -> Session.exec_word t (w "/help/cbr/stf") "mk");
+      ]
+    in
+    let _, promoted0, major0 = Gc.counters () in
+    List.iter
+      (fun g ->
+        g ();
+        ignore (Session.screen t))
+      gestures;
+    let _, promoted1, major1 = Gc.counters () in
+    major1 -. major0 -. (promoted1 -. promoted0)
+  in
+  ignore (replay ());
+  replay ()
+
 let e10_scale () =
   section "E10" "scale: large files, large builds, crowded screens";
   row "each figure: median and interquartile range of %d runs\n" e10_reps;
@@ -739,7 +803,7 @@ let e10_scale () =
       match !best with Some (x, y, _) -> (x, y) | None -> (2, 2)
     in
     Help.event help (Help.Move (kx, ky));
-    ignore (Help.redraw help);
+    ignore (Help.draw help);
     let kiters = 1000 in
     let _, t_ev =
       time (fun () ->
@@ -748,7 +812,7 @@ let e10_scale () =
           done)
     in
     let t_ev1 = t_ev /. float_of_int kiters in
-    ignore (Help.redraw help);
+    ignore (Help.draw help);
     let _, t_evfull =
       time (fun () ->
           for _ = 1 to kiters do
@@ -757,24 +821,24 @@ let e10_scale () =
           done)
     in
     let t_full1 = max 0. (t_evfull /. float_of_int kiters -. t_ev1) *. 1000. in
-    ignore (Help.redraw help);
+    ignore (Help.draw help);
     let _, t_evdraw =
       time (fun () ->
           for _ = 1 to kiters do
             Help.event help (Help.Key 'x');
-            ignore (Help.redraw help)
+            ignore (Help.draw help)
           done)
     in
     let t_incr1 = max 0. (t_evdraw /. float_of_int kiters -. t_ev1) *. 1000. in
     let _, t_clean =
       time (fun () ->
           for _ = 1 to kiters do
-            ignore (Help.redraw help)
+            ignore (Help.draw help)
           done)
     in
     let t_clean1 = t_clean /. float_of_int kiters *. 1000. in
     let identical =
-      Screen.equal (Screen.copy (Help.redraw help)) (Help.draw_full help)
+      Screen.equal (Help.draw help) (Help.draw_full help)
     in
     (t_full1, t_incr1, t_clean1, identical, Help.draw_stats help)
   in
@@ -801,6 +865,11 @@ let e10_scale () =
   j10 "keystroke redraw avg" sp_incr;
   j10 "clean redraw avg" sp_clean;
   j10 "keystroke speedup x" sp_x;
+  let words = bugfix_major_words () in
+  row "  bug-fix replay: %.0f words allocated directly in the major heap\n\
+      \    (20 gestures, a repaint after each)\n"
+    words;
+  jcbr "bugfix_major_words_smoke" words;
   row "nothing on the interactive path grows past a few milliseconds.\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1619,9 +1688,10 @@ let e15_durability ~quick () =
 (* ------------------------------------------------------------------ *)
 (* gc-smoke: the allocation-regression gate.  Re-measures the E13
    minor-allocation-per-RPC at smoke scale, the C front end's minor
-   words per unit (E4), and the pruned corpus grep and the index build
-   (E14), and fails if any regressed more than 25% against its
-   ledgered baseline in BENCH_results.json (allocation counts are
+   words per unit (E4), the pruned corpus grep and the index build
+   (E14), and the words a bug-fix replay allocates directly in the
+   major heap (E10), and fails if any regressed more than 25% against
+   its ledgered baseline in BENCH_results.json (allocation counts are
    deterministic, unlike wall time, so the threshold does not
    flake). *)
 
@@ -1685,7 +1755,11 @@ let gc_smoke () =
     gc_check "index build minor words/unit"
       "index_build_minor_words_per_unit_smoke" build_words
   in
-  exit (if rpc && cbr && grep && build then 0 else 1)
+  let draw =
+    gc_check "major-heap words/bug-fix replay" "bugfix_major_words_smoke"
+      (bugfix_major_words ())
+  in
+  exit (if rpc && cbr && grep && build && draw then 0 else 1)
 
 (* ------------------------------------------------------------------ *)
 (* E16: the manual as an application — the model's totals and the

@@ -1112,7 +1112,7 @@ let repaint_all t r hover =
 (* Bring the persistent screen up to date, repainting only what the
    signatures say changed, and return it (borrowed: valid until the
    next draw). *)
-let redraw_plain t =
+let draw_plain t =
   Trace.incr m_draws;
   let r, fresh =
     match t.render with
@@ -1165,20 +1165,17 @@ let redraw_plain t =
 
 (* The damage pipeline under a span: each frame records how many
    windows were repainted vs skipped (the per-frame deltas of the
-   ledger cells). *)
-let redraw t =
+   ledger cells).  It returns the persistent screen itself, lent until
+   the next draw. *)
+let draw t =
   let _, f0, c0, w0, k0 = draw_ledger () in
   Trace.with_span_result "help.draw" (fun () ->
-      let scr = redraw_plain t in
+      let scr = draw_plain t in
       let _, f1, c1, w1, k1 = draw_ledger () in
       let arg name a b = (name, string_of_int (b - a)) in
       ( scr,
         [ arg "full" f0 f1; arg "cols" c0 c1; arg "wins" w0 w1;
           arg "clean" k0 k1 ] ))
-
-(* Render the screen.  Incremental under the hood; the returned screen
-   is a snapshot the caller may keep across further draws. *)
-let draw t = Screen.copy (redraw t)
 
 let draw_stats t =
   let bd, bf, bc, bw, bk = t.stats_base in

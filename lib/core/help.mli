@@ -129,14 +129,10 @@ val snarf_buffer : t -> string
 (** Render the screen.  Incremental under the hood: a persistent screen
     is kept and only windows whose damage signature changed (edits,
     selection or origin moves, geometry, the hover popup) are
-    repainted.  The result is an independent snapshot the caller may
-    keep across further draws. *)
+    repainted.  The result is that persistent screen, borrowed: it is
+    valid until the next draw, which repaints it in place.  Take
+    [Screen.copy] to keep it. *)
 val draw : t -> Screen.t
-
-(** Like {!draw} but returns the live persistent screen without
-    snapshotting it — valid only until the next draw.  This is the
-    zero-copy path for an interactive main loop. *)
-val redraw : t -> Screen.t
 
 (** From-scratch render onto a fresh screen, bypassing damage tracking.
     Reference implementation for tests and benchmarks; [draw] is

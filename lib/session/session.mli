@@ -128,7 +128,11 @@ val attach_client :
 
 (** {1 Looking around} *)
 
+(** Draw the screen (a logged draw when the session keeps a WAL) and
+    return the live screen {!Help.draw} lends: valid until the next
+    draw, which repaints it in place.  Take [Screen.copy] to keep it. *)
 val screen : t -> Screen.t
+
 val dump : t -> string
 
 (** Window whose name matches (see {!Help.window_by_name}).

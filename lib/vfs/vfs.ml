@@ -146,6 +146,13 @@ let rnode_stat name node =
     st_version = node.version;
   }
 
+(* A directory keeps its children in name order, so [readdir] can hand
+   a listing on without sorting it. *)
+let rec insert_child name node = function
+  | ((n, _) as kid) :: rest when String.compare n name < 0 ->
+      kid :: insert_child name node rest
+  | kids -> (name, node) :: kids
+
 let ramfs_over t root =
   let rec walk node = function
     | [] -> node
@@ -212,7 +219,7 @@ let ramfs_over t root =
             version = 0;
           }
         in
-        parent.children <- Some (kids @ [ (base, node) ]);
+        parent.children <- Some (insert_child base node kids);
         parent.mtime <- t.clock;
         parent.version <- parent.version + 1
   in
@@ -253,11 +260,10 @@ let create () =
   t.mounts <- [ ([], ref [ root ]) ];
   t
 
-(* Longest matching mount prefix; returns the union stack and the path
-   remainder. *)
-let resolve t path =
+(* Longest matching mount prefix of a split path; returns the union
+   stack and the path remainder. *)
+let resolve_comps t comps =
   Trace.incr m_walk;
-  let comps = split_path path in
   let rec strip prefix comps =
     match (prefix, comps) with
     | [], rest -> Some rest
@@ -278,6 +284,8 @@ let resolve t path =
   match best with
   | Some (_, stack, rest) -> (!stack, rest)
   | None -> assert false (* root mount always matches *)
+
+let resolve t path = resolve_comps t (split_path path)
 
 let mount t path fs =
   mutated t;
@@ -468,57 +476,72 @@ let remove t path =
   let stack, rest = resolve t path in
   union_find stack (fun fs -> fs.fs_remove rest)
 
+(* The name of the mount point [prefix] when it lies directly below the
+   directory [here]. *)
+let rec mount_child here prefix =
+  match (here, prefix) with
+  | [], [ base ] -> Some base
+  | h :: hs, p :: ps when String.equal h p -> mount_child hs ps
+  | _ -> None
+
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) ->
+      String.compare a.st_name b.st_name < 0 && strictly_ascending rest
+  | _ -> true
+
 let readdir t path =
   Trace.incr m_readdir;
-  let stack, rest = resolve t path in
-  (* Union view: entries of every member that has the directory, earlier
-     members shadowing later ones by name. *)
-  let seen = Hashtbl.create 16 in
-  let entries = ref [] in
-  let any = ref false in
-  let first_eio = ref None in
-  List.iter
-    (fun fs ->
-      match fs.fs_readdir rest with
-      | stats ->
-          any := true;
-          List.iter
-            (fun st ->
-              if not (Hashtbl.mem seen st.st_name) then begin
-                Hashtbl.add seen st.st_name ();
-                entries := st :: !entries
-              end)
-            stats
-      | exception Error (Eio _ as e) ->
-          (* a broken member degrades to the others, but remember the
-             transport error in case nothing answers *)
-          if !first_eio = None then first_eio := Some e
-      | exception Error _ -> ())
-    stack;
-  (* Mount points directly under this directory appear as entries too. *)
   let here = split_path path in
-  List.iter
-    (fun (prefix, _) ->
-      match List.rev prefix with
-      | base :: rev_parent when List.rev rev_parent = here ->
-          if not (Hashtbl.mem seen base) then begin
-            Hashtbl.add seen base ();
-            any := true;
-            entries :=
-              {
-                st_name = base;
-                st_dir = true;
-                st_length = 0;
-                st_mtime = 0;
-                st_version = 0;
-              }
-              :: !entries
-          end
-      | _ -> ())
-    t.mounts;
-  if not !any then
-    (match !first_eio with Some e -> raise (Error e) | None -> err Enonexist);
-  List.sort (fun a b -> compare a.st_name b.st_name) !entries
+  let stack, rest = resolve_comps t here in
+  let first_eio = ref None in
+  let listings =
+    List.filter_map
+      (fun fs ->
+        match fs.fs_readdir rest with
+        | stats -> Some stats
+        | exception Error (Eio _ as e) ->
+            (* a broken member degrades to the others, but remember the
+               transport error in case nothing answers *)
+            if !first_eio = None then first_eio := Some e;
+            None
+        | exception Error _ -> None)
+      stack
+  in
+  (* mount points directly under this directory are entries too *)
+  let below =
+    List.filter_map (fun (prefix, _) -> mount_child here prefix) t.mounts
+  in
+  match (listings, below) with
+  | [ stats ], [] when strictly_ascending stats ->
+      (* one member answered with a listing already in name order:
+         nothing to shadow, add or sort *)
+      stats
+  | [], [] -> (
+      match !first_eio with Some e -> raise (Error e) | None -> err Enonexist)
+  | _ ->
+      (* Union view: entries of every member that has the directory,
+         earlier members shadowing later ones by name. *)
+      let seen = Hashtbl.create 16 in
+      let entries = ref [] in
+      let add st =
+        if not (Hashtbl.mem seen st.st_name) then begin
+          Hashtbl.add seen st.st_name ();
+          entries := st :: !entries
+        end
+      in
+      List.iter (List.iter add) listings;
+      List.iter
+        (fun base ->
+          add
+            {
+              st_name = base;
+              st_dir = true;
+              st_length = 0;
+              st_mtime = 0;
+              st_version = 0;
+            })
+        below;
+      List.sort (fun a b -> String.compare a.st_name b.st_name) !entries
 
 let subtree t prefix =
   let prefix = split_path prefix in

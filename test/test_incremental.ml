@@ -34,13 +34,22 @@ let draw_cache_effective () =
   check_int "no window repaints on the quiet second draw" 0 wins;
   check_bool "second draw found clean windows" true (clean > 0)
 
-let draw_snapshot_is_private () =
+(* [Help.draw] lends its persistent screen and repaints it in place; a
+   caller that keeps a screen takes [Screen.copy]. *)
+let draw_lends_the_live_screen () =
   let help = mk_help () in
   let s1 = Help.draw help in
-  Screen.set s1 ~x:0 ~y:0 'Z' Screen.Plain;
+  let before = Screen.dump_attrs s1 in
+  let kept = Screen.copy s1 in
+  ignore
+    (Help.open_file help ~dir:"/"
+       (Corpus.src_dir ^ "/" ^ List.nth Corpus.c_files 4));
   let s2 = Help.draw help in
-  check_bool "mutating a snapshot does not leak into the next draw" true
-    (Screen.get s2 ~x:0 ~y:0 <> ('Z', Screen.Plain))
+  check_bool "two draws return the same screen" true (s1 == s2);
+  check_bool "the next draw repainted it" true (Screen.dump_attrs s2 <> before);
+  Alcotest.(check string)
+    "a copy taken before the edit keeps its cells" before
+    (Screen.dump_attrs kept)
 
 let corpus_cached_analyze () =
   let ns = Vfs.create () in
@@ -114,16 +123,38 @@ let dfa_flush_determinism () =
   let _, flushes, _ = r1 in
   check_bool "the tiny cache really flushed" true (flushes > 0)
 
+(* The live screen [Session.screen] lends equals a from-scratch draw at
+   boot and after every gesture of the bug-fix session, whose gestures
+   run rc, write through 9P and drag a window. *)
+let bugfix_screens_match_full_draw ~remote () =
+  let t = Session.boot ~h:48 ~remote () in
+  let check label =
+    check_bool
+      (label ^ ": live screen equals a from-scratch draw")
+      true
+      (Screen.equal (Session.screen t) (Help.draw_full t.Session.help))
+  in
+  check "boot";
+  List.iteri
+    (fun i g ->
+      g t;
+      check (Printf.sprintf "gesture %d" (i + 1)))
+    Bugfix_script.gestures
+
 let unit_tests =
   [
     Alcotest.test_case "quiet draws are all-clean" `Quick draw_cache_effective;
-    Alcotest.test_case "draw returns a private snapshot" `Quick
-      draw_snapshot_is_private;
+    Alcotest.test_case "draw lends one live screen" `Quick
+      draw_lends_the_live_screen;
     Alcotest.test_case "cbr cache on the real corpus" `Quick
       corpus_cached_analyze;
     Alcotest.test_case "regexp compile LRU" `Quick regexp_lru;
     Alcotest.test_case "dfa cache flush is deterministic under reset" `Quick
       dfa_flush_determinism;
+    Alcotest.test_case "bug-fix screens = full draw, local" `Slow
+      (bugfix_screens_match_full_draw ~remote:false);
+    Alcotest.test_case "bug-fix screens = full draw, remote" `Slow
+      (bugfix_screens_match_full_draw ~remote:true);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -168,7 +199,7 @@ let prop_draw_identical =
       List.for_all
         (fun op ->
           apply_op help op;
-          Screen.equal (Help.redraw help) (Help.draw_full help))
+          Screen.equal (Help.draw help) (Help.draw_full help))
         ops)
 
 (* ------------------------------------------------------------------ *)

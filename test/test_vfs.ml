@@ -261,6 +261,199 @@ let prop_dirname_basename =
       p = "/"
       || Vfs.normalize (Vfs.dirname p ^ "/" ^ Vfs.basename p) = p)
 
+(* property: [readdir] over a namespace built with [mount] and
+   [bind_after] agrees with a model of the union view.  The namespace
+   root and three ramfs members each hold a few generated files and
+   directories; mounted members may list a directory in reverse or
+   twice over.  The model lists a directory from the members of its
+   longest mount prefix in union order, earlier members shadowing later
+   ones by name, adds the mount points directly below it as
+   directories, and sorts by name; with no member that has the
+   directory and no mount point below it, [readdir] raises
+   [Enonexist]. *)
+let rd_names = [ "a"; "b"; "c" ]
+
+let rd_comps lo hi = QCheck.Gen.(list_size (int_range lo hi) (oneofl rd_names))
+
+(* a member's contents: paths created in order, directory or file *)
+let rd_tree = QCheck.Gen.(list_size (int_range 0 8) (pair (rd_comps 1 3) bool))
+
+(* (bind_after rather than mount, at, member 1-3, listing order) *)
+let rd_mount =
+  QCheck.Gen.(quad bool (rd_comps 0 2) (int_range 1 3) (int_range 0 2))
+
+let rd_print (trees, mounts) =
+  let path p = Vfs.join_path p in
+  Printf.sprintf "trees: %s\nmounts: %s"
+    (String.concat " | "
+       (List.map
+          (fun t ->
+            String.concat " "
+              (List.map (fun (p, d) -> path p ^ if d then "/" else "") t))
+          trees))
+    (String.concat "; "
+       (List.map
+          (fun (bind, at, m, order) ->
+            Printf.sprintf "%s %s fs%d order%d"
+              (if bind then "bind_after" else "mount")
+              (path at) m order)
+          mounts))
+
+(* [Some rest] when [prefix] starts [comps] *)
+let rec rd_strip prefix comps =
+  match (prefix, comps) with
+  | [], rest -> Some rest
+  | p :: ps, c :: cs when p = c -> rd_strip ps cs
+  | _ -> None
+
+(* Create [entries] through [create], ancestors first, skipping an entry
+   that exists or lies below a file; returns path -> is_dir. *)
+let rd_populate create entries =
+  let model = Hashtbl.create 16 in
+  Hashtbl.replace model [] true;
+  let rec ancestors prefix = function
+    | c :: (_ :: _ as rest) -> (
+        let p = prefix @ [ c ] in
+        match Hashtbl.find_opt model p with
+        | Some true -> ancestors p rest
+        | Some false -> false
+        | None ->
+            create p true;
+            Hashtbl.replace model p true;
+            ancestors p rest)
+    | _ -> true
+  in
+  List.iter
+    (fun (path, dir) ->
+      if (not (Hashtbl.mem model path)) && ancestors [] path then begin
+        create path dir;
+        Hashtbl.replace model path dir
+      end)
+    entries;
+  model
+
+(* The members of the longest mount prefix of [dir], and the rest of
+   [dir] below it; the model's members are (index, base path). *)
+let rd_resolve mtab dir =
+  let _, stack, rest =
+    List.fold_left
+      (fun ((q, _, _) as best) (prefix, stack) ->
+        match rd_strip prefix dir with
+        | Some rest when List.length prefix >= List.length q ->
+            (prefix, stack, rest)
+        | _ -> best)
+      ([], [], dir) mtab
+  in
+  (stack, rest)
+
+let rd_model_readdir models mtab dir =
+  let stack, rest = rd_resolve mtab dir in
+  let listings =
+    List.filter_map
+      (fun (i, base) ->
+        let d = base @ rest in
+        if Hashtbl.find_opt models.(i) d = Some true then
+          Some
+            (Hashtbl.fold
+               (fun p is_dir acc ->
+                 match rd_strip d p with
+                 | Some [ x ] -> (x, is_dir) :: acc
+                 | _ -> acc)
+               models.(i) [])
+        else None)
+      stack
+  in
+  let below =
+    List.filter_map
+      (fun (prefix, _) ->
+        match rd_strip dir prefix with Some [ x ] -> Some (x, true) | _ -> None)
+      mtab
+  in
+  let entries =
+    List.fold_left
+      (fun acc (x, d) -> if List.mem_assoc x acc then acc else acc @ [ (x, d) ])
+      [] (List.concat listings @ below)
+  in
+  if listings = [] && below = [] then Error ()
+  else Ok (List.sort (fun (a, _) (b, _) -> String.compare a b) entries)
+
+let prop_readdir_union =
+  QCheck.Test.make ~name:"readdir agrees with a model of the union view"
+    ~count:300
+    (QCheck.make ~print:rd_print
+       QCheck.Gen.(
+         pair (list_repeat 4 rd_tree) (list_size (int_range 0 5) rd_mount)))
+    (fun (trees, mounts) ->
+      let ns = fresh () in
+      let members =
+        Array.init 4 (fun i -> if i = 0 then None else Some (Vfs.ramfs ns))
+      in
+      let models =
+        Array.of_list
+          (List.mapi
+             (fun i tree ->
+               let create p dir =
+                 match members.(i) with
+                 | Some fs -> fs.Vfs.fs_create p ~dir
+                 | None ->
+                     if dir then Vfs.mkdir ns (Vfs.join_path p)
+                     else Vfs.write_file ns (Vfs.join_path p) ""
+               in
+               rd_populate create tree)
+             trees)
+      in
+      let mtab = ref [ ([], [ (0, []) ]) ] in
+      List.iter
+        (fun (bind, at, m, order) ->
+          let fs = Option.get members.(m) in
+          let listed f =
+            { fs with Vfs.fs_readdir = (fun p -> f (fs.Vfs.fs_readdir p)) }
+          in
+          let fs =
+            match order with
+            | 0 -> fs
+            | 1 -> listed List.rev
+            | _ -> listed (fun l -> l @ l)
+          in
+          let path = Vfs.join_path at in
+          let existing = List.assoc_opt at !mtab in
+          let others = List.remove_assoc at !mtab in
+          if not bind then begin
+            Vfs.mount ns path fs;
+            mtab := (at, [ (m, []) ]) :: others
+          end
+          else begin
+            Vfs.bind_after ns path fs;
+            let stack =
+              match existing with
+              | Some stack -> stack
+              | None ->
+                  let stack, rest = rd_resolve !mtab at in
+                  List.map (fun (i, base) -> (i, base @ rest)) stack
+            in
+            mtab := (at, stack @ [ (m, []) ]) :: others
+          end)
+        mounts;
+      let dirs =
+        [] :: List.concat_map
+          (fun a ->
+            [ a ] :: List.concat_map
+              (fun b -> [ a; b ] :: List.map (fun c -> [ a; b; c ]) rd_names)
+              rd_names)
+          rd_names
+      in
+      List.for_all
+        (fun dir ->
+          let real =
+            match Vfs.readdir ns (Vfs.join_path dir) with
+            | sts ->
+                Ok (List.map (fun (st : Vfs.stat) -> (st.st_name, st.st_dir))
+                      sts)
+            | exception Vfs.Error Vfs.Enonexist -> Error ()
+          in
+          real = rd_model_readdir models !mtab dir)
+        dirs)
+
 let () =
   Alcotest.run "vfs"
     [
@@ -271,5 +464,5 @@ let () =
       ( "property",
         List.map (Seeded.to_alcotest 53)
           [ prop_model; prop_normalize_idempotent; prop_normalize_clean;
-            prop_dirname_basename ] );
+            prop_dirname_basename; prop_readdir_union ] );
     ]
