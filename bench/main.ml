@@ -246,11 +246,29 @@ let cbr_words_per_unit () =
   analyze_each ();
   (Gc.minor_words () -. w0) /. float_of_int (List.length Corpus.c_files)
 
-(* Minor words of one pruned [grep -n helper42 *.c] through [Rc.run] on
-   a warm 120-unit synthetic corpus (perfbench corpus's query), and per
-   unit of the first [Index.prune] after install, which tokenizes every
-   unit; the gc-smoke gate holds the glob, the pruning and the index
-   build to these figures. *)
+(* Minor words per unit of [cpp *.c > /dev/null] through [Rc.run] over
+   the units boot's mk compiles (the preprocessing of a [uses *.c]
+   click); the gc-smoke gate holds cpp to this figure. *)
+let cpp_words_per_unit () =
+  let ns = Vfs.create () in
+  Corpus.install ns;
+  Vfs.mkdir_p ns "/dev";
+  let sh = Rc.create ns in
+  Coreutils.install sh;
+  Cbr.install sh;
+  let cpp () = ignore (Rc.run sh ~cwd:Corpus.src_dir "cpp *.c > /dev/null") in
+  cpp ();
+  let w0 = Gc.minor_words () in
+  cpp ();
+  (Gc.minor_words () -. w0) /. float_of_int (List.length Corpus.c_files)
+
+(* Minor words of one pruned [grep -n helper42 *.c] and one unpruned
+   [grep -n '[0-9]\);' *.c] (a pattern with no usable trigram, so every
+   unit is read and walked) through [Rc.run] on a warm 120-unit
+   synthetic corpus (perfbench corpus's queries), and per unit of the
+   first [Index.prune] after install, which tokenizes every unit; the
+   gc-smoke gate holds the glob, the pruning, the line walk and the
+   index build to these figures. *)
 let corpus_grep_words () =
   let modules = 120 in
   let ns = Vfs.create () in
@@ -262,11 +280,15 @@ let corpus_grep_words () =
   let build = (Gc.minor_words () -. w0) /. float_of_int modules in
   let sh = Rc.create ns in
   Coreutils.install sh;
-  let grep () = ignore (Rc.run sh ~cwd:dir "grep -n helper42 *.c") in
-  grep ();
-  let w0 = Gc.minor_words () in
-  grep ();
-  (Gc.minor_words () -. w0, build)
+  let words cmd =
+    let grep () = ignore (Rc.run sh ~cwd:dir cmd) in
+    grep ();
+    let w0 = Gc.minor_words () in
+    grep ();
+    Gc.minor_words () -. w0
+  in
+  let pruned = words "grep -n helper42 *.c" in
+  (pruned, words "grep -n '[0-9]\\);' *.c", build)
 
 let e4_uses_vs_grep () =
   section "E4" "semantic uses vs textual grep over the help sources";
@@ -293,7 +315,10 @@ let e4_uses_vs_grep () =
   let words = cbr_words_per_unit () in
   row "front end: %.0f minor words per unit (the %d units boot's mk compiles)\n"
     words (List.length Corpus.c_files);
-  jcbr "cbr_minor_words_per_unit_smoke" words
+  jcbr "cbr_minor_words_per_unit_smoke" words;
+  let cpp = cpp_words_per_unit () in
+  row "cpp *.c > /dev/null: %.0f minor words per unit\n" cpp;
+  jcbr "cpp_minor_words_per_unit_smoke" cpp
 
 (* ------------------------------------------------------------------ *)
 (* E5: placement ablation                                              *)
@@ -1412,10 +1437,13 @@ let e14_index ~quick () =
   row "synthetic corpus at %dx: %d units; index built in %.0f ms\n" scale
     modules t_build;
   row "%d docs, %d distinct trigrams, %d postings\n" docs tris posts;
-  let grep_words, build_words = corpus_grep_words () in
+  let grep_words, fallback_words, build_words = corpus_grep_words () in
   row "120 units: %.0f minor words per pruned grep -n helper42 *.c through rc,\n\
-       %.0f per unit of the first prune after install\n" grep_words build_words;
+       %.0f per unpruned grep -n '[0-9]\\);' *.c,\n\
+       %.0f per unit of the first prune after install\n" grep_words fallback_words
+    build_words;
   jcbr "grep_minor_words_pruned_smoke" grep_words;
+  jcbr "grep_minor_words_fallback_smoke" fallback_words;
   jcbr "index_build_minor_words_per_unit_smoke" build_words;
   j14 "scale" (float_of_int scale);
   j14 "build ms" t_build;
@@ -1687,13 +1715,13 @@ let e15_durability ~quick () =
 
 (* ------------------------------------------------------------------ *)
 (* gc-smoke: the allocation-regression gate.  Re-measures the E13
-   minor-allocation-per-RPC at smoke scale, the C front end's minor
-   words per unit (E4), the pruned corpus grep and the index build
-   (E14), and the words a bug-fix replay allocates directly in the
-   major heap (E10), and fails if any regressed more than 25% against
-   its ledgered baseline in BENCH_results.json (allocation counts are
-   deterministic, unlike wall time, so the threshold does not
-   flake). *)
+   minor-allocation-per-RPC at smoke scale, the C front end's and
+   cpp's minor words per unit (E4), the pruned and the unpruned corpus
+   grep and the index build (E14), and the words a bug-fix replay
+   allocates directly in the major heap (E10), and fails if any
+   regressed more than 25% against its ledgered baseline in
+   BENCH_results.json (allocation counts are deterministic, unlike wall
+   time, so the threshold does not flake). *)
 
 let ledger_float path key =
   match open_in path with
@@ -1746,10 +1774,18 @@ let gc_smoke () =
     gc_check "C front-end minor words/unit" "cbr_minor_words_per_unit_smoke"
       (cbr_words_per_unit ())
   in
-  let grep_words, build_words = corpus_grep_words () in
+  let cpp =
+    gc_check "cpp minor words/unit" "cpp_minor_words_per_unit_smoke"
+      (cpp_words_per_unit ())
+  in
+  let grep_words, fallback_words, build_words = corpus_grep_words () in
   let grep =
     gc_check "minor words/pruned corpus grep" "grep_minor_words_pruned_smoke"
       grep_words
+  in
+  let fallback =
+    gc_check "minor words/unpruned corpus grep" "grep_minor_words_fallback_smoke"
+      fallback_words
   in
   let build =
     gc_check "index build minor words/unit"
@@ -1759,7 +1795,7 @@ let gc_smoke () =
     gc_check "major-heap words/bug-fix replay" "bugfix_major_words_smoke"
       (bugfix_major_words ())
   in
-  exit (if rpc && cbr && grep && build && draw then 0 else 1)
+  exit (if rpc && cbr && cpp && grep && fallback && build && draw then 0 else 1)
 
 (* ------------------------------------------------------------------ *)
 (* E16: the manual as an application — the model's totals and the

@@ -5,66 +5,100 @@ type program = C_symbols.program
 
 let starts_with prefix s = Hstr.starts_with ~prefix s
 
-(* Parse an #include line; returns (name, system?) or None. *)
-let include_of line =
-  let t = String.trim line in
-  if not (starts_with "#include" t) then None
+(* String.trim's white space. *)
+let is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+
+let rec skip_space s i stop =
+  if i < stop && is_space (String.unsafe_get s i) then skip_space s (i + 1) stop else i
+
+let rec find_char s c i stop =
+  if i >= stop then -1
+  else if String.unsafe_get s i = c then i
+  else find_char s c (i + 1) stop
+
+let rec is_include s k j =
+  j = 8 || (String.unsafe_get s (k + j) = "#include".[j] && is_include s k (j + 1))
+
+(* The #include directive on the line [s[i, stop)], read where it lies:
+   (name, system?) or None.  After leading white space the line starts
+   with [#include]; after more white space comes ["name"] or [<name>]
+   with its closing quote on the line.  Only the name is copied. *)
+let include_at s i stop =
+  let k = skip_space s i stop in
+  if k + 8 > stop || not (is_include s k 0) then None
   else
-    let rest = String.trim (String.sub t 8 (String.length t - 8)) in
-    let n = String.length rest in
-    if n >= 2 && rest.[0] = '"' then
-      match String.index_from_opt rest 1 '"' with
-      | Some stop -> Some (String.sub rest 1 (stop - 1), false)
-      | None -> None
-    else if n >= 2 && rest.[0] = '<' then
-      match String.index_from_opt rest 1 '>' with
-      | Some stop -> Some (String.sub rest 1 (stop - 1), true)
-      | None -> None
-    else None
+    let p = skip_space s (k + 8) stop in
+    let name close system =
+      match find_char s close (p + 1) stop with
+      | -1 -> None
+      | q -> Some (String.sub s (p + 1) (q - p - 1), system)
+    in
+    if p >= stop then None
+    else
+      match String.unsafe_get s p with
+      | '"' -> name '"' false
+      | '<' -> name '>' true
+      | _ -> None
+
+(* One pass over each file's bytes.  Runs of ordinary lines are copied
+   to [out] whole, '\n's and all; an include line is replaced by the
+   included file (once per file) and a marker.  The file's last
+   segment, empty when the file ends in a newline, gets a '\n' of its
+   own, as splitting on '\n' would give it. *)
+let preprocess_into out ns ~dir path =
+  let included = Hashtbl.create 8 in
+  let marker line file =
+    Buffer.add_string out "# ";
+    Buffer.add_string out (string_of_int line);
+    Buffer.add_string out " \"";
+    Buffer.add_string out file;
+    Buffer.add_string out "\"\n"
+  in
+  let rec expand abs display =
+    match Vfs.read_file ns abs with
+    | exception Vfs.Error _ ->
+        Buffer.add_string out "/* missing include: ";
+        Buffer.add_string out display;
+        Buffer.add_string out " */\n"
+    | s ->
+        Hashtbl.replace included abs ();
+        marker 1 display;
+        let n = String.length s in
+        let here = lazy (Vfs.dirname abs) in
+        (* [run] is where the bytes not yet copied start *)
+        let rec lines i line run =
+          let eol = Hstr.line_end s i in
+          match include_at s i eol with
+          | None ->
+              if eol < n then lines (eol + 1) (line + 1) run
+              else begin
+                Buffer.add_substring out s run (n - run);
+                Buffer.add_char out '\n'
+              end
+          | Some (name, system) ->
+              Buffer.add_substring out s run (i - run);
+              let absolute = starts_with "/" name in
+              let iabs =
+                if absolute then Vfs.normalize name
+                else
+                  Vfs.normalize
+                    ((if system then "/sys/include" else Lazy.force here) ^ "/" ^ name)
+              in
+              if not (Hashtbl.mem included iabs) then
+                expand iabs (if system || absolute then name else "./" ^ name);
+              marker (line + 1) display;
+              if eol < n then lines (eol + 1) (line + 1) (eol + 1)
+        in
+        lines 0 1 0
+  in
+  expand
+    (if starts_with "/" path then Vfs.normalize path
+     else Vfs.normalize (dir ^ "/" ^ path))
+    path
 
 let preprocess ns ~dir path =
   let out = Buffer.create 4096 in
-  let included = Hashtbl.create 8 in
-  let marker line file = Printf.sprintf "# %d \"%s\"\n" line file in
-  let rec expand ~dir ~display path =
-    let abs =
-      if starts_with "/" path then Vfs.normalize path
-      else Vfs.normalize (dir ^ "/" ^ path)
-    in
-    match Vfs.read_file ns abs with
-    | exception Vfs.Error _ ->
-        Buffer.add_string out
-          (Printf.sprintf "/* missing include: %s */\n" display)
-    | content ->
-        Hashtbl.replace included abs ();
-        Buffer.add_string out (marker 1 display);
-        let lines = String.split_on_char '\n' content in
-        List.iteri
-          (fun i line ->
-            match include_of line with
-            | Some (name, system) ->
-                let idir, idisplay =
-                  if system then ("/sys/include", name)
-                  else
-                    ( Vfs.dirname abs,
-                      if starts_with "/" name then name else "./" ^ name )
-                in
-                let iabs =
-                  if starts_with "/" name then Vfs.normalize name
-                  else Vfs.normalize (idir ^ "/" ^ name)
-                in
-                if not (Hashtbl.mem included iabs) then
-                  expand ~dir:idir ~display:idisplay name;
-                Buffer.add_string out (marker (i + 2) display)
-            | None ->
-                Buffer.add_string out line;
-                Buffer.add_char out '\n')
-          lines
-  in
-  let display =
-    if starts_with "/" path then path else path
-  in
-  expand ~dir ~display path;
+  preprocess_into out ns ~dir path;
   Buffer.contents out
 
 (* ------------------------------------------------------------------ *)
@@ -261,8 +295,8 @@ let cpp_native proc args =
   | files ->
       List.iter
         (fun f ->
-          Buffer.add_string (Rc.proc_out proc)
-            (preprocess (Rc.proc_ns proc) ~dir:(Rc.proc_cwd proc) f))
+          preprocess_into (Rc.proc_out proc) (Rc.proc_ns proc)
+            ~dir:(Rc.proc_cwd proc) f)
         files;
       0
 

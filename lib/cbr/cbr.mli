@@ -14,7 +14,15 @@ type program = C_symbols.program
 
 (** [preprocess ns ~dir path] splices ["..."]-includes (relative to the
     including file) and [<...>]-includes (from [/sys/include]), emitting
-    [# line "file"] markers; each header is included once. *)
+    [# line "file"] markers; each header is included once, and a file
+    that cannot be read leaves a [/* missing include: ... */] line.  A
+    file's lines are its bytes split on ['\n'], so a file ending in a
+    newline yields an empty last line, copied like any other: every
+    line that is not a directive is copied whole, followed by ['\n'].
+    A directive is a line that, after white space, starts [#include]
+    and names ["file"] or [<file>]; it is recognised where it lies in
+    the file read, without copying the line.  The [cpp] tool writes
+    each unit straight into its output. *)
 val preprocess : Vfs.t -> dir:string -> string -> string
 
 (** Cache of per-file analyses for {!analyze}.  Entries are keyed on a

@@ -23,7 +23,11 @@ type query =
 let esc_char b c =
   let code = Char.code c in
   if code >= 33 && code < 127 && c <> '\\' then Buffer.add_char b c
-  else Printf.bprintf b "\\x%02x" code
+  else begin
+    Buffer.add_string b "\\x";
+    Buffer.add_char b "0123456789abcdef".[code lsr 4];
+    Buffer.add_char b "0123456789abcdef".[code land 15]
+  end
 
 let esc s =
   let b = Buffer.create (String.length s) in
@@ -186,35 +190,67 @@ let of_ns ns =
 
 let enc3 s = (Char.code s.[0] lsl 16) lor (Char.code s.[1] lsl 8) lor Char.code s.[2]
 
-let dec3 tri =
-  let b = Buffer.create 3 in
-  Buffer.add_char b (Char.chr ((tri lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((tri lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (tri land 0xff));
-  Buffer.contents b
+(* In-place sort of [a.(lo..hi)]: quicksort on the middle element,
+   insertion sort on short runs.  Typed, so no comparison goes through
+   a closure or the polymorphic compare; the larger part is sorted by
+   the tail call, so the stack stays logarithmic. *)
+let rec sort_ints (a : int array) lo hi =
+  if hi - lo < 12 then
+    for i = lo + 1 to hi do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let p = a.((lo + hi) / 2) in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while a.(!i) < p do incr i done;
+      while a.(!j) > p do decr j done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    if !j - lo < hi - !i then begin
+      sort_ints a lo !j;
+      sort_ints a !i hi
+    end
+    else begin
+      sort_ints a !i hi;
+      sort_ints a lo !j
+    end
+  end
 
+(* The sorted distinct trigrams of [content]: every window's code,
+   sorted, with repeats squeezed out in place. *)
 let tokenize content =
   let n = String.length content in
   if n < 3 then [||]
   else begin
-    let tbl = Hashtbl.create 256 in
+    let a = Array.make (n - 2) 0 in
     for i = 0 to n - 3 do
-      let tri =
-        (Char.code content.[i] lsl 16)
-        lor (Char.code content.[i + 1] lsl 8)
-        lor Char.code content.[i + 2]
-      in
-      if not (Hashtbl.mem tbl tri) then Hashtbl.add tbl tri ()
+      a.(i) <-
+        (Char.code (String.unsafe_get content i) lsl 16)
+        lor (Char.code (String.unsafe_get content (i + 1)) lsl 8)
+        lor Char.code (String.unsafe_get content (i + 2))
     done;
-    let a = Array.make (Hashtbl.length tbl) 0 in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun k () ->
-        a.(!i) <- k;
-        incr i)
-      tbl;
-    Array.sort compare a;
-    a
+    sort_ints a 0 (n - 3);
+    let k = ref 1 in
+    for i = 1 to n - 3 do
+      if a.(i) <> a.(!k - 1) then begin
+        a.(!k) <- a.(i);
+        incr k
+      end
+    done;
+    Array.sub a 0 !k
   end
 
 (* Posting lists run in descending id order.  A new document has the
@@ -475,15 +511,15 @@ type hit = {
   h_text : string;
 }
 
+(* Lines as grep has them, decided in place; only a matching line is
+   copied out, and only it has its spans computed. *)
 let scan_content re key content acc =
   let hits = ref acc in
-  List.iteri
-    (fun i line ->
-      match Regexp.search_all re line with
-      | [] -> ()
-      | spans ->
-          hits := { h_doc = key; h_line = i + 1; h_spans = spans; h_text = line } :: !hits)
-    (String.split_on_char '\n' content);
+  Hsearch.iter_lines ~invert:false (Hsearch.Pattern re) content (fun line start stop ->
+      let text = String.sub content start (stop - start) in
+      hits :=
+        { h_doc = key; h_line = line; h_spans = Regexp.search_all re text; h_text = text }
+        :: !hits);
   !hits
 
 let scan_files ns re paths =
@@ -528,7 +564,15 @@ let stats_text t =
 
 let postings_text t =
   let rows = Hashtbl.fold (fun tri r acc -> (tri, List.length !r) :: acc) t.ix_post [] in
-  let rows = List.sort compare rows in
+  let rows = List.sort (fun (a, _) (b, _) -> Int.compare a b) rows in
   let b = Buffer.create (16 * List.length rows) in
-  List.iter (fun (tri, n) -> Printf.bprintf b "%s\t%d\n" (esc (dec3 tri)) n) rows;
+  List.iter
+    (fun (tri, n) ->
+      esc_char b (Char.unsafe_chr ((tri lsr 16) land 0xff));
+      esc_char b (Char.unsafe_chr ((tri lsr 8) land 0xff));
+      esc_char b (Char.unsafe_chr (tri land 0xff));
+      Buffer.add_char b '\t';
+      Buffer.add_string b (string_of_int n);
+      Buffer.add_char b '\n')
+    rows;
   Buffer.contents b

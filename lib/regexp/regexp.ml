@@ -425,44 +425,56 @@ let metrics_flush () =
     m_scan := 0
   end
 
-(* [find_lit_bounded s from bound sub]: first occurrence of [sub] fully
-   inside [from, bound).  memchr-style: let [String.index_from_opt] do
-   the byte scan, verify the tail by hand.  Local to this module so the
-   engine has no dependency on lib/util. *)
+(* Literal search without allocation, not even of an option or a
+   closure: the line walk calls it once per line.  Local to this module
+   so the engine has no dependency on lib/util. *)
+
+(* [s[j + k, j + m)] = [sub[k, m)] *)
+let rec tail_eq s j sub k m =
+  k >= m
+  || String.unsafe_get s (j + k) = String.unsafe_get sub k
+     && tail_eq s j sub (k + 1) m
+
+let rec first_from s sub c0 m i limit =
+  if i > limit then -1
+  else if String.unsafe_get s i = c0 && tail_eq s i sub 1 m then i
+  else first_from s sub c0 m (i + 1) limit
+
+(* Horspool: windows slide by the bad-character shift of their last
+   byte, which never passes an occurrence, so the first hit is the
+   leftmost. *)
+let rec horspool s sub m last skip i bound =
+  if i + m > bound then -1
+  else
+    let c = String.unsafe_get s (i + m - 1) in
+    if c = last && tail_eq s i sub 0 (m - 1) then i
+    else horspool s sub m last skip (i + Array.unsafe_get skip (Char.code c)) bound
+
+(* [find_lit_bounded s from bound sub]: start of the first occurrence
+   of [sub] fully inside [from, bound), or -1. *)
 let find_lit_bounded s from bound sub =
   let m = String.length sub in
-  if m = 0 then Some from
-  else begin
-    let c0 = sub.[0] in
-    let limit = bound - m in
-    let rec go i =
-      if i > limit then None
-      else
-        match String.index_from_opt s i c0 with
-        | None -> None
-        | Some j ->
-            if j > limit then None
-            else begin
-              let k = ref 1 in
-              while !k < m && s.[j + !k] = sub.[!k] do
-                incr k
-              done;
-              if !k = m then Some j else go (j + 1)
-            end
-    in
-    if from > limit then None else go from
-  end
+  if m = 0 then from else first_from s sub (String.unsafe_get sub 0) m from (bound - m)
+
+(* [lit_find re s from bound]: start of the leftmost occurrence of the
+   required literal fully inside [from, bound), or -1; Horspool with the
+   compile-time skip table when there is one. *)
+let lit_find re s from bound =
+  let sub = re.rx_literal in
+  let skip = re.rx_lit_skip in
+  if Array.length skip = 0 then find_lit_bounded s from bound sub
+  else
+    let m = String.length sub in
+    horspool s sub m (String.unsafe_get sub (m - 1)) skip from bound
 
 (* [lit_exists re s from bound]: does the required literal occur fully
-   inside [from, bound)?  Horspool when the compile built a skip table,
-   so a 16KB haystack without the literal costs a few window probes
-   rather than a byte scan; plain memchr search otherwise. *)
+   inside [from, bound)?  [lit_find], except that a haystack of 4KB or
+   more with a skip table is searched on the literal's rarest byte. *)
 let lit_exists re s from bound =
   let sub = re.rx_literal in
   let m = String.length sub in
   let skip = re.rx_lit_skip in
-  if Array.length skip = 0 then find_lit_bounded s from bound sub <> None
-  else if bound - from >= 4096 then begin
+  if Array.length skip > 0 && bound - from >= 4096 then begin
     (* On a big haystack, let memchr do the work — but anchored on the
        literal byte that is rarest in the text, judged by sampling the
        first KB.  A literal whose anchor never occurs (the common case
@@ -494,19 +506,7 @@ let lit_exists re s from bound =
     in
     go (from + a)
   end
-  else begin
-    (* small haystack: Horspool with the compile-time skip table *)
-    let last = sub.[m - 1] in
-    let rec eq i k = k >= m - 1 || (s.[i + k] = sub.[k] && eq i (k + 1)) in
-    let rec go i =
-      i + m <= bound
-      &&
-      let c = s.[i + m - 1] in
-      if c = last && eq i 0 then true
-      else go (i + skip.(Char.code c))
-    in
-    go from
-  end
+  else lit_find re s from bound >= 0
 
 (* ------------------------------------------------------------------ *)
 (* Layer 1: the one-pass Pike-VM sweep.  Threads are (state, start)
@@ -661,8 +661,8 @@ let sweep_feed sw s ~off ~len ~prefix =
     then begin
       let j =
         match find_lit_bounded s !i stop_at prefix with
-        | Some j -> j
-        | None -> max !i (stop_at - plen + 1)
+        | -1 -> max !i (stop_at - plen + 1)
+        | j -> j
       in
       if j > !i then begin
         skipped := !skipped + (j - !i);
@@ -882,11 +882,12 @@ type scan_cursor = {
   mutable sc_fb : sweep option;  (* fallback sweep once DFA is abandoned *)
 }
 
-(* Existence only, so the start labels of the seeded threads are
-   irrelevant; every interned kernel already contains the start state,
-   and injection keeps the scan unanchored. *)
-let scan_fallback sc kernel =
-  let sw = sweep_make sc.sc_re ~pos:0 ~bol:sc.sc_bol ~inject:true ~short:true in
+(* An existence sweep resuming from a DFA state's [kernel].  Existence
+   only, so the start labels of the seeded threads are irrelevant;
+   every interned kernel already contains the start state, and
+   injection keeps the scan unanchored. *)
+let sweep_of_kernel re kernel ~bol =
+  let sw = sweep_make re ~pos:0 ~bol ~inject:true ~short:true in
   sw.sw_nraw <- 0;
   Array.iter
     (fun st ->
@@ -894,7 +895,10 @@ let scan_fallback sc kernel =
       sw.sw_raw_s0.(sw.sw_nraw) <- 0;
       sw.sw_nraw <- sw.sw_nraw + 1)
     kernel;
-  sc.sc_fb <- Some sw
+  sw
+
+let scan_fallback sc kernel =
+  sc.sc_fb <- Some (sweep_of_kernel sc.sc_re kernel ~bol:sc.sc_bol)
 
 module Scan = struct
   type cursor = scan_cursor
@@ -962,8 +966,8 @@ module Scan = struct
                 then begin
                   let j =
                     match find_lit_bounded s !i stop_at prefix with
-                    | Some j -> j
-                    | None -> max !i (stop_at - plen + 1)
+                    | -1 -> max !i (stop_at - plen + 1)
+                    | j -> j
                   in
                   if j > !i then begin
                     skipped := !skipped + (j - !i);
@@ -1073,6 +1077,134 @@ module Stream = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Layer 3c: the line walk.  A line is what grep prints: the buffer is
+   split on '\n', a trailing newline ends the last line, and an empty
+   buffer has no lines.  Each line is decided where it lies, exactly as
+   [matches] decides it on a copy: the required literal is searched
+   across the whole buffer, so lines it never reaches cost only the
+   scan for their '\n'; a line the literal reaches runs the DFA from
+   the bol start state at its first byte and stops at its '\n'.  The
+   DFA never steps over the '\n' itself: the state at a line's end is
+   judged with [$] holding (d_accept || d_accept_eol), and the next
+   line starts afresh, so no match and no [^] can span two lines.
+   Counters accumulate in locals and module refs and are flushed once
+   per call.                                                           *)
+
+(* Offset of the '\n' ending the line that starts at [i], or [n]. *)
+let rec line_end s i n =
+  if i < n && String.unsafe_get s i <> '\n' then line_end s (i + 1) n else i
+
+(* Existence of a match in the line [s[off, stop)] on the NFA sweep,
+   resuming from [kernel]: Scan's fallback when the DFA thrashes. *)
+let sweep_line re kernel ~bol s off stop =
+  let sw = sweep_of_kernel re kernel ~bol in
+  sweep_feed sw s ~off ~len:(stop - off) ~prefix:re.rx_prefix;
+  sweep_finish sw <> None
+
+(* Step along [s[j, stop)] on cached transitions from state [id], and
+   stop at an accepting state, at [stop] or at a transition not built
+   yet; return where, leaving the state in [walk_state].  The hot loop
+   of the walk: nothing but the state and the offset changes in it. *)
+let walk_state = ref 0
+
+let rec dfa_run states s stop id j =
+  let st = Array.unsafe_get states id in
+  if st.d_accept || j >= stop then begin
+    walk_state := id;
+    j
+  end
+  else
+    let next = Array.unsafe_get st.d_next (Char.code (String.unsafe_get s j)) in
+    if next < 0 then begin
+      walk_state := id;
+      j
+    end
+    else dfa_run states s stop next (j + 1)
+
+(* Decide the line [s[i, stop)] on the DFA.  The result's bit 0 is the
+   verdict; bit 1 says the cache flushed more than [budget] times in
+   all, in which case the rest of the line was decided on the sweep
+   from the current kernel and the caller keeps to the sweep.  With a
+   required prefix the DFA starts at the prefix's first occurrence in
+   the line, as Scan.feed jumps; with none the line cannot match, since
+   a nonempty prefix means no empty match.  Every byte stepped is a
+   cache hit or a miss. *)
+let dfa_line re df s i stop budget =
+  let prefix = re.rx_prefix in
+  let from = if String.length prefix = 0 then i else find_lit_bounded s i stop prefix in
+  if from < 0 then begin
+    m_skip := !m_skip + (stop - i);
+    0
+  end
+  else begin
+    let id = ref (dfa_start df ~bol:(from = i)) in
+    let j = ref from and misses = ref 0 and result = ref (-1) in
+    while !result < 0 do
+      j := dfa_run df.df_states s stop !id !j;
+      id := !walk_state;
+      let st = df.df_states.(!id) in
+      if st.d_accept || !j >= stop then
+        result := if st.d_accept || st.d_accept_eol then 1 else 0
+      else begin
+        incr misses;
+        id := dfa_step re df !id (String.unsafe_get s !j);
+        incr j;
+        if df.df_flushes > budget then
+          result :=
+            if sweep_line re df.df_states.(!id).d_kernel ~bol:false s !j stop
+            then 3
+            else 2
+      end
+    done;
+    m_skip := !m_skip + (from - i);
+    m_scan := !m_scan + (!j - from);
+    m_miss := !m_miss + !misses;
+    m_hit := !m_hit + (!j - from - !misses);
+    !result
+  end
+
+let iter_lines ~invert re s f =
+  let n = String.length s in
+  let m = String.length re.rx_literal in
+  let df = dfa_get re in
+  let budget = match df with Some df -> df.df_flushes + 3 | None -> 0 in
+  let on_sweep = ref (df = None) in
+  let start = [| re.start |] in
+  (* leftmost occurrence of the literal at or after the last line that
+     needed one, or -1 when there is none *)
+  let next = ref (if m > 0 then lit_find re s 0 n else 0) in
+  let pos = ref 0 and line = ref 1 in
+  while !pos < n do
+    let i = !pos in
+    if m > 0 && !next < 0 && not invert then begin
+      (* the literal occurs nowhere further on: no line left matches *)
+      m_skip := !m_skip + (n - i);
+      pos := n
+    end
+    else begin
+      let eol = line_end s i n in
+      if m > 0 && !next >= 0 && !next < i then next := lit_find re s i n;
+      let hit =
+        if m > 0 && (!next < 0 || !next + m > eol) then begin
+          m_skip := !m_skip + (eol - i);
+          false
+        end
+        else
+          match df with
+          | Some df when not !on_sweep ->
+              let r = dfa_line re df s i eol budget in
+              if r >= 2 then on_sweep := true;
+              r land 1 = 1
+          | _ -> sweep_line re start ~bol:true s i eol
+      in
+      if hit <> invert then f !line i eol;
+      pos := eol + 1;
+      incr line
+    end
+  done;
+  metrics_flush ()
+
+(* ------------------------------------------------------------------ *)
 (* Public entry points: literal prefilter, then DFA existence, then the
    sweep for exact spans.                                              *)
 
@@ -1132,10 +1264,10 @@ let search re s pos =
         (* every match starts with the prefix: jump to its first
            occurrence, or give up if there is none *)
         match find_lit_bounded s pos n re.rx_prefix with
-        | None ->
+        | -1 ->
             m_skip := !m_skip + (n - pos);
             None
-        | Some j ->
+        | j ->
             m_skip := !m_skip + (j - pos);
             if scan_string re s j then sweep_search re s j else None
       else if re.rx_plain then

@@ -40,6 +40,21 @@ val search_nfa : t -> string -> int -> (int * int) option
 (** All non-overlapping leftmost-longest matches. *)
 val search_all : t -> string -> (int * int) list
 
+(** [iter_lines ~invert re s f] decides the lines of [s] where they lie
+    and calls [f line start stop] on each one that [re] matches (on each
+    one it does not match, with [~invert:true]), in order: [line]
+    counts from 1 and [s[start, stop)] is the line without its ['\n'].
+    A line's verdict is exactly [matches re] on that line copied out.
+    A line is what [grep] prints: [s] is split on ['\n'], a trailing
+    newline ends the last line instead of starting an empty one, and
+    [""] has no lines.  Nothing is copied.  The required literal is
+    searched across the whole buffer, so lines before its next
+    occurrence are passed over unread by the DFA; a line it reaches
+    runs the DFA from the [^] start state and stops at the line's
+    ['\n'] with [$] holding, never stepping over it, so no match spans
+    two lines.  Counters are flushed once per call. *)
+val iter_lines : invert:bool -> t -> string -> (int -> int -> int -> unit) -> unit
+
 (** [match_at re s pos] — longest match anchored at [pos] (ignores a
     leading [^] semantics; the anchor still constrains as usual). *)
 val match_at : t -> string -> int -> int option

@@ -137,23 +137,26 @@ let grep proc args =
       | exception Regexp.Parse_error msg -> fail proc ("grep: " ^ msg)
       | re ->
           let needle = Hsearch.Pattern re in
+          let out = Rc.proc_out proc in
           let matched = ref false in
+          (* Lines are decided where they lie and only printed ones are
+             copied, straight into the output; under -i the walk runs
+             on a lowercased copy, whose offsets are the original's. *)
           let scan label data =
-            List.iteri
-              (fun i line ->
-                let subject =
-                  if nocase then String.lowercase_ascii line else line
-                in
-                let hit = Hsearch.matches needle subject in
-                if hit <> invert then begin
-                  matched := true;
-                  let prefix =
-                    (match label with Some f -> f ^ ":" | None -> "")
-                    ^ (if number then string_of_int (i + 1) ^ ":" else "")
-                  in
-                  out_line proc (prefix ^ line)
-                end)
-              (lines data)
+            let subject = if nocase then String.lowercase_ascii data else data in
+            Hsearch.iter_lines ~invert needle subject (fun line start stop ->
+                matched := true;
+                (match label with
+                | Some f ->
+                    Buffer.add_string out f;
+                    Buffer.add_char out ':'
+                | None -> ());
+                if number then begin
+                  Buffer.add_string out (string_of_int line);
+                  Buffer.add_char out ':'
+                end;
+                Buffer.add_substring out data start (stop - start);
+                Buffer.add_char out '\n')
           in
           (* Corpus-scale candidate selection: the trigram index rules
              out files that cannot contain a match before they are

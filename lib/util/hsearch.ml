@@ -138,8 +138,33 @@ let subst re ~repl ~global ~empty_ok ~empty_advance ?(limit = max_int) line =
   in
   loop line 0 0
 
+(* The literal twin of [Regexp.iter_lines]: the same lines, decided by
+   where the next occurrence of [sub] lies.  An occurrence that ends
+   past a line's '\n' cannot lie inside that line, and none later in
+   the line can either, since the first one would then end earlier. *)
+let literal_lines ~invert sub s f =
+  let n = String.length s and m = String.length sub in
+  let find from = match Hstr.find s ~start:from ~sub with Some j -> j | None -> -1 in
+  let next = ref (if m > 0 then find 0 else 0) in
+  let pos = ref 0 and line = ref 1 in
+  while !pos < n do
+    let i = !pos in
+    if m > 0 && !next < 0 && not invert then pos := n
+    else begin
+      let eol = Hstr.line_end s i in
+      if m > 0 && !next >= 0 && !next < i then next := find i;
+      if (m = 0 || (!next >= 0 && !next + m <= eol)) <> invert then f !line i eol;
+      pos := eol + 1;
+      incr line
+    end
+  done
+
+let iter_lines ~invert nd s f =
+  match nd with
+  | Literal sub -> literal_lines ~invert sub s f
+  | Pattern re -> Regexp.iter_lines ~invert re s f
+
 let count_matching_lines nd content =
-  List.fold_left
-    (fun acc line -> if matches nd line then acc + 1 else acc)
-    0
-    (String.split_on_char '\n' content)
+  let count = ref 0 in
+  iter_lines ~invert:false nd content (fun _ _ _ -> incr count);
+  !count

@@ -42,5 +42,17 @@ val subst :
   string ->
   string * int
 
-(** Lines of [content] (split on '\n') matching the needle. *)
+(** [iter_lines ~invert nd s f] — {!Regexp.iter_lines} for either
+    needle: [f line start stop] on every line of [s] the needle matches
+    (does not match, with [~invert:true]), in order, decided where it
+    lies.  A line is what [grep] prints: [s] split on ['\n'], a
+    trailing newline ending the last line, no lines in [""].  A line's
+    verdict equals {!matches} on the line copied out; nothing is
+    copied. *)
+val iter_lines :
+  invert:bool -> needle -> string -> (int -> int -> int -> unit) -> unit
+
+(** The number of lines of [content] matching the needle, lines as
+    {!iter_lines} has them (so neither a trailing newline nor an empty
+    buffer adds an empty line). *)
 val count_matching_lines : needle -> string -> int

@@ -33,3 +33,7 @@ let starts_with ~prefix s =
   &&
   let rec eq i = i = n || (s.[i] = prefix.[i] && eq (i + 1)) in
   eq 0
+
+let rec line_end s i =
+  if i < String.length s && String.unsafe_get s i <> '\n' then line_end s (i + 1)
+  else i

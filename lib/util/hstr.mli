@@ -9,3 +9,7 @@ val find : ?start:int -> string -> sub:string -> int option
 
 val contains : string -> sub:string -> bool
 val starts_with : prefix:string -> string -> bool
+
+(** [line_end s i] is the offset of the ['\n'] that ends the line
+    starting at [i], or [String.length s] when no ['\n'] follows. *)
+val line_end : string -> int -> int

@@ -147,11 +147,29 @@ let rnode_stat name node =
   }
 
 (* A directory keeps its children in name order, so [readdir] can hand
-   a listing on without sorting it. *)
+   a listing on without sorting it, and a lookup, create's exists check
+   and remove stop at the first name past the one they want. *)
+let rec child name = function
+  | (n, node) :: rest ->
+      let c = String.compare n name in
+      if c = 0 then node else if c < 0 then child name rest else err Enonexist
+  | [] -> err Enonexist
+
 let rec insert_child name node = function
-  | ((n, _) as kid) :: rest when String.compare n name < 0 ->
-      kid :: insert_child name node rest
-  | kids -> (name, node) :: kids
+  | ((n, _) as kid) :: rest as kids ->
+      let c = String.compare n name in
+      if c < 0 then kid :: insert_child name node rest
+      else if c = 0 then err Eexist
+      else (name, node) :: kids
+  | [] -> [ (name, node) ]
+
+let rec remove_child name = function
+  | ((n, _) as kid) :: rest ->
+      let c = String.compare n name in
+      if c < 0 then kid :: remove_child name rest
+      else if c = 0 then rest
+      else err Enonexist
+  | [] -> err Enonexist
 
 let ramfs_over t root =
   let rec walk node = function
@@ -159,10 +177,7 @@ let ramfs_over t root =
     | comp :: rest -> (
         match node.children with
         | None -> err Enotdir
-        | Some kids -> (
-            match List.assoc_opt comp kids with
-            | None -> err Enonexist
-            | Some child -> walk child rest))
+        | Some kids -> walk (child comp kids) rest)
   in
   let parent_of path =
     match List.rev path with
@@ -188,8 +203,11 @@ let ramfs_over t root =
     {
       of_read =
         (fun ~off ~count ->
+          (* strings are immutable and writes replace [node.content],
+             so a whole-file read can hand on the stored string *)
           let len = String.length node.content in
           if off >= len then ""
+          else if off = 0 && count >= len then node.content
           else String.sub node.content off (min count (len - off)));
       of_write =
         (fun ~off data ->
@@ -210,7 +228,6 @@ let ramfs_over t root =
     match parent.children with
     | None -> err Enotdir
     | Some kids ->
-        if List.mem_assoc base kids then err Eexist;
         let node =
           {
             content = "";
@@ -228,12 +245,10 @@ let ramfs_over t root =
     match parent.children with
     | None -> err Enotdir
     | Some kids ->
-        (match List.assoc_opt base kids with
-        | None -> err Enonexist
-        | Some node ->
-            if node.children <> None && node.children <> Some [] then
-              err Eperm (* directory not empty *));
-        parent.children <- Some (List.remove_assoc base kids);
+        let node = child base kids in
+        if node.children <> None && node.children <> Some [] then
+          err Eperm (* directory not empty *);
+        parent.children <- Some (remove_child base kids);
         parent.mtime <- t.clock;
         parent.version <- parent.version + 1
   in
@@ -383,16 +398,26 @@ let read_file t path =
   Fun.protect
     ~finally:(fun () -> try f.of_close () with _ -> ())
     (fun () ->
-      let b = Buffer.create 256 in
-      let rec loop off =
-        let chunk = f.of_read ~off ~count:65536 in
-        if chunk <> "" then begin
-          Buffer.add_string b chunk;
-          loop (off + String.length chunk)
-        end
-      in
-      loop 0;
-      Buffer.contents b)
+      (* a file read in one chunk is returned as that chunk: a RAM file
+         hands on its stored string, so the read copies nothing *)
+      let first = f.of_read ~off:0 ~count:65536 in
+      if first = "" then ""
+      else
+        let chunk = f.of_read ~off:(String.length first) ~count:65536 in
+        if chunk = "" then first
+        else begin
+          let b = Buffer.create (2 * String.length first) in
+          Buffer.add_string b first;
+          let rec loop chunk off =
+            if chunk <> "" then begin
+              Buffer.add_string b chunk;
+              let off = off + String.length chunk in
+              loop (f.of_read ~off ~count:65536) off
+            end
+          in
+          loop chunk (String.length first);
+          Buffer.contents b
+        end)
 
 let write_file t path data =
   Trace.incr m_write;
@@ -702,6 +727,8 @@ let rec r_rnode d ~get =
             let name = Codec.r_str d in
             (name, r_rnode d ~get))
       in
+      (* lookups rely on name order; a snapshot already has it *)
+      let kids = List.sort (fun (a, _) (b, _) -> String.compare a b) kids in
       { content = ""; children = Some kids; mtime; version }
 
 let snapshot t ~put =

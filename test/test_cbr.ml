@@ -229,6 +229,68 @@ let cpp_tests =
            f 0));
   ]
 
+(* cpp against the reference preprocessor (test/cpp_ref.ml) on
+   generated include trees: quoted, <system> and absolute includes,
+   indented ones, [#include"x.h"] with no space, [# include] (not a
+   directive), malformed ones, missing and repeated headers, cycles,
+   '\r' and form feeds, empty files and files with no final newline.
+   Every file preprocessed on its own and the [cpp] tool over several
+   must give the reference's bytes. *)
+let cpp_tree =
+  let open QCheck.Gen in
+  let name = oneofl [ "h1.h"; "h2.h"; "sub/h3.h"; "../x/h1.h"; "gone.h"; "a.c"; "" ] in
+  let sys = oneofl [ "u.h"; "v.h"; "gone.h"; "/abs/w.h"; "" ] in
+  let space = oneofl [ ""; " "; "\t"; "  "; "\012"; "\r" ] in
+  let directive =
+    oneof
+      [
+        map3 (fun a n b -> a ^ "#include \"" ^ n ^ "\"" ^ b) space name space;
+        map3 (fun a n b -> a ^ "#include <" ^ n ^ ">" ^ b) space sys space;
+        map (fun n -> "#include\"" ^ n ^ "\"") name;
+        map (fun n -> "#include\t<" ^ n ^ "> // trailing") sys;
+        map (fun n -> "#include \"/abs/" ^ n ^ "\"") (oneofl [ "w.h"; "gone.h" ]);
+        map (fun n -> "# include \"" ^ n ^ "\"") name;
+        oneofl [ "#include"; "#include \"h1.h"; "#include <"; "#includeh1.h"; "#define X 1"; "  #" ];
+      ]
+  in
+  let text = string_size ~gen:(oneofl [ 'i'; 'n'; 't'; ' '; ';'; '#'; '"'; '<'; '\r' ]) (int_range 0 10) in
+  let file =
+    map2
+      (fun ls final -> String.concat "\n" ls ^ if final then "\n" else "")
+      (list_size (int_range 0 5) (frequency [ (2, text); (3, directive) ]))
+      bool
+  in
+  list_repeat 8 file
+
+let prop_cpp_vs_reference =
+  let paths =
+    [ "/x/a.c"; "/x/b.c"; "/x/h1.h"; "/x/h2.h"; "/x/sub/h3.h"; "/sys/include/u.h";
+      "/sys/include/v.h"; "/abs/w.h" ]
+  in
+  QCheck.Test.make ~name:"cpp = reference preprocessor on generated trees" ~count:500
+    (QCheck.make
+       ~print:(fun files ->
+         String.concat "\n" (List.map2 (Printf.sprintf "%s: %S") paths files))
+       cpp_tree)
+    (fun files ->
+      let ns = Vfs.create () in
+      List.iter2
+        (fun path text ->
+          Vfs.mkdir_p ns (Vfs.dirname path);
+          Vfs.write_file ns path text)
+        paths files;
+      List.for_all
+        (fun top -> Cbr.preprocess ns ~dir:"/x" top = Cpp_ref.preprocess ns ~dir:"/x" top)
+        [ "a.c"; "b.c"; "sub/h3.h"; "/abs/w.h"; "gone.c" ]
+      &&
+      let sh = Rc.create ns in
+      Cbr.install sh;
+      let r = Rc.run_argv sh ~cwd:"/x" [ "cpp"; "-DX"; "a.c"; "gone.c"; "b.c" ] in
+      r.Rc.r_out
+      = String.concat ""
+          (List.map (Cpp_ref.preprocess ns ~dir:"/x") [ "a.c"; "gone.c"; "b.c" ])
+      && r.Rc.r_status = 0 && r.Rc.r_err = "")
+
 (* Every decl, occurrence and error of a program, one per line. *)
 let program_text (p : C_symbols.program) =
   let b = Buffer.create 65536 in
@@ -489,7 +551,7 @@ let () =
       ( "lexer",
         lexer_tests
         @ [ Seeded.to_alcotest 18 prop_lexer_vs_reference ] );
-      ("cpp", cpp_tests);
+      ("cpp", cpp_tests @ [ Seeded.to_alcotest 18 prop_cpp_vs_reference ]);
       ("analysis", analysis_tests);
       ("snippets", snippet_tests);
       ("pipeline", pipeline_tests);

@@ -120,4 +120,97 @@ let tests =
            String.length s > 4 && String.sub s (String.length s - 5) 4 = "1991"));
   ]
 
-let () = Alcotest.run "coreutils" [ ("tools", tests) ]
+(* grep against the reference grep (test/grep_ref.ml): generated files
+   with and without a final newline, empty lines and '\r'; patterns
+   with literals, classes, anchors, nullable patterns and a \n escape;
+   -n, -v, -i in any combination over stdin, one file or several (a
+   missing one among them).  Output, errors and exit status must be
+   the reference's, with the DFA at its usual bound and squeezed to 8
+   states, where long a/b lines make it thrash and fall back. *)
+let grep_case =
+  let open QCheck.Gen in
+  let line =
+    oneof
+      [
+        string_size ~gen:(oneofl [ 'a'; 'b'; 'A'; 'B'; 'x'; ' '; '\r'; '1'; '(' ]) (int_range 0 12);
+        string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_range 20 60);
+      ]
+  in
+  let file =
+    map2
+      (fun ls final -> String.concat "\n" ls ^ if final && ls <> [] then "\n" else "")
+      (list_size (int_range 0 6) line) bool
+  in
+  let atom =
+    oneofl [ "a"; "b"; "A"; "x"; "."; "[ab]"; "[^a]"; "[A-Z]"; "\\r"; "\\n"; "(a|B)"; "1"; "\\(" ]
+  in
+  let rep = oneofl [ ""; ""; "*"; "+"; "?" ] in
+  let seq = map (String.concat "") (list_size (int_range 1 3) (map2 ( ^ ) atom rep)) in
+  let pattern =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun bol core eol -> (if bol then "^" else "") ^ core ^ if eol then "$" else "")
+            bool seq bool );
+        (2, oneofl [ "x*"; "^"; "$"; "^$"; "a?"; "(a"; "" ]);
+        (* x[ab]^k$ needs 2^(k+1) DFA states, more than a 256-state
+           cache holds, so even a pattern the compile memo has seen
+           before misses, and at 8 states the DFA thrashes *)
+        ( 1,
+          map2
+            (fun x k -> x ^ String.concat "" (List.init k (fun _ -> "[ab]")) ^ "$")
+            (oneofl [ "a"; "b"; "^a"; "ab" ])
+            (int_range 8 9) );
+      ]
+  in
+  let flags =
+    oneofl
+      [ []; [ "-n" ]; [ "-v" ]; [ "-i" ]; [ "-n"; "-v" ]; [ "-i"; "-n" ]; [ "-v"; "-i" ];
+        [ "-n"; "-v"; "-i" ] ]
+  in
+  let names =
+    oneof
+      [
+        return [];
+        map (fun k -> [ Printf.sprintf "f%d" k ]) (int_range 1 3);
+        list_size (int_range 2 4) (oneofl [ "f1"; "f2"; "f3"; "/t/f1"; "nope" ]);
+      ]
+  in
+  pair (list_repeat 3 file) (triple pattern flags names)
+
+let prop_grep_vs_reference =
+  QCheck.Test.make ~name:"grep = reference grep (files, stdin, -n -v -i)"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (files, (pat, flags, names)) ->
+         Printf.sprintf "files=%s argv=%s"
+           (String.concat " " (List.map (Printf.sprintf "%S") files))
+           (String.concat " " (List.map (Printf.sprintf "%S") (("grep" :: flags) @ (pat :: names)))))
+       grep_case)
+    (fun (files, (pat, flags, names)) ->
+      let ns = Vfs.create () in
+      let sh = Rc.create ns in
+      Coreutils.install sh;
+      Rc.register sh "/bin/grepref" Grep_ref.grep;
+      Vfs.mkdir_p ns "/t";
+      List.iteri (fun i c -> Vfs.write_file ns (Printf.sprintf "/t/f%d" (i + 1)) c) files;
+      let run tool =
+        Rc.run_argv sh ~cwd:"/t" ~stdin:(List.hd files) ((tool :: flags) @ (pat :: names))
+      in
+      let show (r : Rc.result) = Printf.sprintf "%S %S %d" r.r_out r.r_err r.r_status in
+      List.for_all
+        (fun cap ->
+          Regexp.set_dfa_capacity cap;
+          let got = run "grep" and want = run "grepref" in
+          Regexp.set_dfa_capacity 256;
+          got = want
+          || QCheck.Test.fail_reportf "capacity %d: grep %s, reference %s" cap (show got)
+               (show want))
+        (* squeezed first: a run at 256 would leave every transition
+           the second run needs in the cache *)
+        [ 8; 256 ])
+
+let () =
+  Alcotest.run "coreutils"
+    [ ("tools", tests); ("property", [ Seeded.to_alcotest 61 prop_grep_vs_reference ]) ]

@@ -251,6 +251,34 @@ let prop_file_edits =
           && Index.sizes ix = Index.sizes fresh)
         ops)
 
+(* Lines are what grep prints: a trailing newline ends the last line
+   and an empty file has none, so a pattern that matches the empty
+   string hits no line that is not there.  The index's hits,
+   [Hsearch.count_matching_lines] and coreutils grep agree. *)
+let no_phantom_line () =
+  let ns = Vfs.create () in
+  Vfs.mkdir_p ns "/p";
+  Vfs.write_file ns "/p/three" "a\n\nb\n";
+  Vfs.write_file ns "/p/empty" "";
+  let ix = Index.create ns in
+  let lines pat path =
+    List.map (fun h -> h.Index.h_line) (Index.grep ix (re pat) [ path ])
+  in
+  Alcotest.(check (list int)) "^$ hits the empty line only" [ 2 ] (lines "^$" "/p/three");
+  Alcotest.(check (list int)) "x* hits every line" [ 1; 2; 3 ] (lines "x*" "/p/three");
+  Alcotest.(check (list int)) "an empty file has no line" [] (lines "x*" "/p/empty");
+  let sh = Rc.create ns in
+  Coreutils.install sh;
+  List.iter
+    (fun (pat, path) ->
+      let count = Hsearch.count_matching_lines (Hsearch.Pattern (re pat)) (Vfs.read_file ns path) in
+      (* every line grep prints ends in a newline *)
+      let printed = (Rc.run_argv sh [ "grep"; pat; path ]).Rc.r_out in
+      let newlines = List.length (String.split_on_char '\n' printed) - 1 in
+      check_int (Printf.sprintf "count %s %s" pat path) (List.length (lines pat path)) count;
+      check_int (Printf.sprintf "grep %s %s" pat path) count newlines)
+    [ ("^$", "/p/three"); ("x*", "/p/three"); ("x*", "/p/empty"); ("b", "/p/three") ]
+
 let () =
   Alcotest.run "index"
     [
@@ -262,6 +290,8 @@ let () =
             files_indexed_equals_linear;
           Alcotest.test_case "generation counters" `Quick generation_counters;
           Alcotest.test_case "rebuild control" `Quick rebuild_control;
+          Alcotest.test_case "no phantom line after the last newline" `Quick
+            no_phantom_line;
           Alcotest.test_case "a booted session's corpus and index files"
             `Quick session_index;
           Seeded.to_alcotest 19 prop_file_edits;

@@ -295,6 +295,90 @@ let prop_search_pos =
           let expected = ref_search pat s pos in
           List.for_all (fun (_, r) -> r = expected) (engine_spans re s pos))
 
+(* The lines grep prints, copied out: split on '\n', a trailing newline
+   ends the last line, and "" has none.  Each comes with its offsets. *)
+let grep_lines s =
+  let n = String.length s in
+  let rec go acc line i =
+    if i >= n then List.rev acc
+    else
+      let e = match String.index_from_opt s i '\n' with Some e -> e | None -> n in
+      go ((line, i, e, String.sub s i (e - i)) :: acc) (line + 1) (e + 1)
+  in
+  go [] 1 0
+
+(* Both halves of a walk, merged back into line order. *)
+let walk re s =
+  let got = ref [] in
+  List.iter
+    (fun invert ->
+      Regexp.iter_lines ~invert re s (fun line start stop ->
+          got := (line, start, stop, not invert) :: !got))
+    [ false; true ];
+  List.sort compare !got
+
+let show_walk l =
+  String.concat " "
+    (List.map (fun (l, a, b, h) -> Printf.sprintf "%d:%d-%d:%b" l a b h) l)
+
+(* The line walk decides each line where it lies exactly as [matches]
+   and the backtracking reference decide that line copied out, with
+   the DFA at its usual bound and squeezed to 8 states (so it flushes
+   and falls back to the sweep).  Longer haystacks than the other
+   properties', so one walk crosses many lines. *)
+let prop_line_walk =
+  let open QCheck.Gen in
+  let text ~chars ~max =
+    string_size ~gen:(frequency [ (8, chars); (1, return '\n') ]) (int_range 0 max)
+  in
+  QCheck.Test.make ~name:"line walk = matches = reference, line by line"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (p, s) -> Printf.sprintf "pat=%S input=%S" p s)
+       (oneof
+          [
+            pair pattern_gen2 (text ~chars:(map Char.chr (int_range 97 100)) ~max:60);
+            pair
+              (map (fun p -> p ^ "\\n" ^ p) pattern_gen)
+              (text ~chars:(map Char.chr (int_range 97 100)) ~max:30);
+            (* a[ab]^k after any prefix needs 2^(k+1) DFA states, so at
+               8 the cache thrashes on long a/b lines and the walk falls
+               back to the sweep *)
+            pair
+              (map2
+                 (fun k tail ->
+                   "[ab]*a" ^ String.concat "" (List.init k (fun _ -> "[ab]")) ^ tail)
+                 (int_range 2 4)
+                 (oneofl [ ""; "$"; "b$"; "c" ]))
+              (text ~chars:(oneofl [ 'a'; 'b' ]) ~max:120);
+          ]))
+    (fun (pat, s) ->
+      match Regexp.compile_uncached pat with
+      | exception Regexp.Parse_error _ -> QCheck.assume_fail ()
+      | re ->
+          let expected =
+            List.map
+              (fun (l, a, b, line) ->
+                let hit = ref_matches pat line in
+                if Regexp.matches re line <> hit then
+                  QCheck.Test.fail_reportf "matches disagrees on %S" line;
+                (l, a, b, hit))
+              (grep_lines s)
+          in
+          let at cap =
+            Regexp.set_dfa_capacity cap;
+            let w = walk (Regexp.compile_uncached pat) s in
+            Regexp.set_dfa_capacity 256;
+            w
+          in
+          List.for_all
+            (fun cap ->
+              let got = at cap in
+              got = expected
+              || QCheck.Test.fail_reportf "capacity %d: expected %s, walked %s" cap
+                   (show_walk expected) (show_walk got))
+            [ 256; 8 ])
+
 (* ------------------------------------------------------------------ *)
 (* Streaming / rope regressions with real chunk boundaries.  A string
    longer than the rope's max leaf (512) built via [Rope.of_string]
@@ -413,5 +497,6 @@ let () =
                prop_matches_agree;
                prop_tiny_dfa_cache;
                prop_search_pos;
+               prop_line_walk;
              ] );
     ]

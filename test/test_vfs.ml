@@ -454,6 +454,81 @@ let prop_readdir_union =
           real = rd_model_readdir models !mtab dir)
         dirs)
 
+(* RAM directories keep their children in name order, and a lookup
+   stops at the first name past the one it wants.  Every child of a
+   generated directory, created in any order, is found by [stat] and
+   [read_file]; names that sort before, between or after the children
+   are absent to [stat], [read_file] and [remove]; creating a child
+   twice is refused; after removals the rest are still found.  A string
+   [read_file] returned (the stored string itself, for a whole RAM
+   file) keeps its bytes when the file is overwritten in place through
+   a handle, rewritten, truncated or appended. *)
+let prop_children =
+  let open QCheck.Gen in
+  let name = string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; 'B'; '.'; '0'; '~' ]) (int_range 1 4) in
+  QCheck.Test.make ~name:"children found in order; absent names; reads survive writes"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (kids, probes) ->
+         Printf.sprintf "children=[%s] probes=[%s]"
+           (String.concat " " (List.map (fun (n, d) -> Printf.sprintf "%S%s" n (if d then "/" else "")) kids))
+           (String.concat " " (List.map (Printf.sprintf "%S") probes)))
+       (pair (list_size (int_range 1 8) (pair name bool)) (list_size (int_range 1 8) name)))
+    (fun (kids, probes) ->
+      let ns = fresh () in
+      Vfs.mkdir_p ns "/d";
+      (* "." and ".." are resolved away, not names *)
+      let real n = n <> "." && n <> ".." in
+      let kids = List.sort_uniq (fun (a, _) (b, _) -> compare a b) kids in
+      let kids = List.filter (fun (n, _) -> real n) kids in
+      let path n = "/d/" ^ n in
+      List.iter
+        (fun (n, dir) -> if dir then Vfs.mkdir ns (path n) else Vfs.write_file ns (path n) ("<" ^ n ^ ">"))
+        (List.rev kids);
+      let found (n, dir) =
+        let st = Vfs.stat ns (path n) in
+        st.Vfs.st_name = n && st.st_dir = dir
+        && (dir || Vfs.read_file ns (path n) = "<" ^ n ^ ">")
+      in
+      let absent n =
+        let gone f = match f () with _ -> false | exception Vfs.Error Vfs.Enonexist -> true in
+        gone (fun () -> Vfs.stat ns (path n))
+        && gone (fun () -> Vfs.read_file ns (path n))
+        && gone (fun () -> Vfs.remove ns (path n))
+      in
+      let probes = List.filter (fun p -> real p && not (List.mem_assoc p kids)) probes in
+      let twice (n, _) =
+        match Vfs.mkdir ns (path n) with _ -> false | exception Vfs.Error Vfs.Eexist -> true
+      in
+      let survives (n, dir) =
+        dir
+        ||
+        let before = Vfs.read_file ns (path n) in
+        let copy = String.sub before 0 (String.length before) in
+        (* overwrite the first byte in place, through a handle *)
+        let h = Vfs.open_file ns (path n) Vfs.Write in
+        Vfs.write h "X";
+        Vfs.close h;
+        let after_overwrite = String.equal before copy in
+        Vfs.write_file ns (path n) "rewritten";
+        let after_write = String.equal before copy in
+        Vfs.close (Vfs.create_file ns (path n));
+        let after_trunc = String.equal before copy in
+        Vfs.append_file ns (path n) "+tail";
+        after_overwrite && after_write && after_trunc && String.equal before copy
+        && Vfs.read_file ns (path n) = "+tail"
+      in
+      List.for_all found kids && List.for_all absent probes && List.for_all twice kids
+      && List.for_all survives kids
+      &&
+      (* remove every other child; the rest are still found *)
+      let removed = List.filteri (fun i _ -> i mod 2 = 0) kids in
+      List.iter (fun (n, _) -> Vfs.remove ns (path n)) removed;
+      List.for_all (fun (n, _) -> absent n) removed
+      && List.for_all
+           (fun (n, _) -> List.mem_assoc n removed || (Vfs.stat ns (path n)).Vfs.st_name = n)
+           kids)
+
 let () =
   Alcotest.run "vfs"
     [
@@ -464,5 +539,5 @@ let () =
       ( "property",
         List.map (Seeded.to_alcotest 53)
           [ prop_model; prop_normalize_idempotent; prop_normalize_clean;
-            prop_dirname_basename; prop_readdir_union ] );
+            prop_dirname_basename; prop_readdir_union; prop_children ] );
     ]
