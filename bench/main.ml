@@ -786,6 +786,38 @@ let e10_scale () =
     [ ("analysis, cold cache", None, cold);
       ("analysis, warm cache (0 edits)", Some "analysis warm", warm);
       ("analysis after editing 1 of 100 files", Some "analysis 1 edit", edited) ];
+  (* the front end's two halves, over the units boot's mk compiles:
+     tokenizing their preprocessed text, and parsing each unit's tokens
+     into a fresh state, as [vc]'s one-unit analysis does.  Each run
+     starts on a collected heap: a run allocates more than the minor
+     heap holds, and without it the major work one run leaves behind
+     lands in the next (the interquartile range was two thirds of the
+     median) *)
+  let boot_ns = Vfs.create () in
+  Corpus.install boot_ns;
+  let texts =
+    List.map (fun f -> (f, Cbr.preprocess boot_ns ~dir:Corpus.src_dir f)) Corpus.c_files
+  in
+  row "the %d units boot's mk compiles, preprocessed (processor time):\n"
+    (List.length texts);
+  let sp, toks =
+    repeated ~setup:Gc.full_major (fun () ->
+        List.map (fun (file, text) -> C_lexer.tokenize ~file text) texts)
+  in
+  e10_row "lex boot units" sp
+    (Printf.sprintf " (%d tokens)" (List.fold_left (fun n l -> n + List.length l) 0 toks));
+  j10 "lex boot units" sp;
+  let sp, _ =
+    repeated ~setup:Gc.full_major (fun () ->
+        List.map
+          (fun unit ->
+            let st = C_symbols.create_state () in
+            C_symbols.parse_unit st unit;
+            C_symbols.finish st)
+          toks)
+  in
+  e10_row "parse boot units" sp "";
+  j10 "parse boot units" sp;
   (* a crowded screen *)
   let screen () =
     let ns, sh, dir = project () in

@@ -193,54 +193,53 @@ let file_eq a b =
 let find_occurrence (p : program) ~file ~line ~name =
   List.find_opt
     (fun (o : C_symbols.occurrence) ->
-      o.o_name = name && o.o_pos.line = line && file_eq o.o_pos.file file)
+      o.o_pos.line = line && String.equal o.o_name name
+      && file_eq o.o_pos.file file)
     p.C_symbols.p_occs
 
-let decl_by_id (p : program) id =
-  List.find_opt (fun (d : C_symbols.decl) -> d.d_id = id) p.C_symbols.p_decls
+(* The declaration the occurrence of [name] at [file]:[line] resolves to *)
+let decl_at (p : program) ~file ~line ~name =
+  match find_occurrence p ~file ~line ~name with
+  | Some { o_decl = Some id; _ } ->
+      List.find_opt (fun (d : C_symbols.decl) -> d.d_id = id) p.C_symbols.p_decls
+  | _ -> None
 
 let decl_of p ~file ~line ~name =
-  match find_occurrence p ~file ~line ~name with
+  match decl_at p ~file ~line ~name with
   | None -> None
-  | Some occ -> (
-      match occ.o_decl with
-      | None -> None
-      | Some id -> (
-          match decl_by_id p id with
-          | None -> None
-          | Some d ->
-              Some (d.d_pos.file, d.d_pos.line, C_symbols.kind_name d.d_kind)))
+  | Some d -> Some (d.d_pos.file, d.d_pos.line, C_symbols.kind_name d.d_kind)
+
+(* (file, line) in the order polymorphic compare gives the pair *)
+let compare_ref (f, l) (f', l') =
+  match String.compare f f' with 0 -> Int.compare l l' | c -> c
 
 let uses_of p ~file ~line ~name =
-  match find_occurrence p ~file ~line ~name with
+  match decl_at p ~file ~line ~name with
   | None -> []
-  | Some occ -> (
-      match occ.o_decl with
-      | None -> []
-      | Some id -> (
-          match decl_by_id p id with
-          | None -> []
-          | Some d ->
-              (* For a global, collect references to any same-named global
-                 declaration (extern in a header and the definition are the
-                 same object); for locals, exactly this decl. *)
-              let target_ids =
-                if d.d_global then
-                  List.filter_map
-                    (fun (d' : C_symbols.decl) ->
-                      if d'.d_global && d'.d_name = d.d_name then Some d'.d_id
-                      else None)
-                    p.C_symbols.p_decls
-                else [ id ]
-              in
-              List.filter_map
-                (fun (o : C_symbols.occurrence) ->
-                  match o.o_decl with
-                  | Some oid when List.mem oid target_ids ->
-                      Some (o.o_pos.file, o.o_pos.line)
-                  | _ -> None)
-                p.C_symbols.p_occs
-              |> List.sort_uniq compare))
+  | Some d ->
+      (* For a global, collect references to any same-named global
+         declaration (extern in a header and the definition are the
+         same object); for locals, exactly this decl. *)
+      let targets =
+        if d.d_global then
+          List.filter_map
+            (fun (d' : C_symbols.decl) ->
+              if d'.d_global && String.equal d'.d_name d.d_name then Some d'.d_id
+              else None)
+            p.C_symbols.p_decls
+        else [ d.d_id ]
+      in
+      let rec target id = function
+        | [] -> false
+        | t :: ts -> t = id || target id ts
+      in
+      List.filter_map
+        (fun (o : C_symbols.occurrence) ->
+          match o.o_decl with
+          | Some id when target id targets -> Some (o.o_pos.file, o.o_pos.line)
+          | _ -> None)
+        p.C_symbols.p_occs
+      |> List.sort_uniq compare_ref
 
 (* Candidate selection for the textual queries: the trigram index
    prunes the unit list before any file is read.  A unit that lacks a

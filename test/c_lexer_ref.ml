@@ -108,6 +108,7 @@ let tokenize ~file src =
             match src.[!pos] with
             | '"' -> incr pos
             | '\\' when !pos + 1 < n ->
+                if src.[!pos + 1] = '\n' then incr cur_line;
                 Buffer.add_char b src.[!pos];
                 Buffer.add_char b src.[!pos + 1];
                 pos := !pos + 2;
@@ -130,11 +131,13 @@ let tokenize ~file src =
             match src.[!pos] with
             | '\'' -> incr pos
             | '\\' when !pos + 1 < n ->
+                if src.[!pos + 1] = '\n' then incr cur_line;
                 Buffer.add_char b src.[!pos];
                 Buffer.add_char b src.[!pos + 1];
                 pos := !pos + 2;
                 go ()
             | c ->
+                if c = '\n' then incr cur_line;
                 Buffer.add_char b c;
                 incr pos;
                 go ()

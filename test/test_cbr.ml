@@ -138,8 +138,10 @@ let multi_puncts =
 
 let lex_fragments =
   [
-    (* line markers, a name with spaces, other cpp residue *)
+    (* line markers, a name with spaces, blanks after the name (a CRLF
+       line), other cpp residue *)
     "# 12 \"a b.h\"\n"; "# 3 \"x.h\"\n"; "#\t40 \"t.h\" 2\n";
+    "# 5 \"c.h\"\r\n"; "# 8 \"e.h\" \t\012\n";
     "#include <u.h>\n"; "#\n"; "# 7\n"; "#";
     (* comments *)
     "/* c */"; "/*\n\n*/"; "/**/"; "// line\n"; "//";
@@ -488,10 +490,243 @@ let snippet_tests =
         let p = analyze_snippet code in
         let uses = Cbr.uses_of p ~file:"t.c" ~line:3 ~name:"x" in
         check_bool "no line-6 reference" true (not (List.mem ("t.c", 6) uses)));
+    Alcotest.test_case "a newline inside a literal advances the line" `Quick
+      (fun () ->
+        (* a backslash-newline in a string or a char, and a raw newline
+           in a char: the literal keeps the line of its opening quote *)
+        List.iter
+          (fun (code, name) ->
+            let lines =
+              List.filter_map
+                (fun (t : C_lexer.spanned) ->
+                  match t.tok with
+                  | C_lexer.Str_lit _ | C_lexer.Char_lit _ ->
+                      Some ("literal", t.pos.line)
+                  | C_lexer.Ident n when n = name -> Some (n, t.pos.line)
+                  | _ -> None)
+                (C_lexer.tokenize ~file:"t.c" code)
+            in
+            Alcotest.(check (list (pair string int))) code
+              [ ("literal", 1); (name, 3) ] lines;
+            match decl_in code ~line:3 ~name with
+            | Some ("t.c", 3, "var") -> ()
+            | _ -> Alcotest.failf "%s is not declared at t.c:3" name)
+          [ ("char *s = \"a\\\nb\";\nint x;\n", "x");
+            ("char c = 'a\\\n';\nint y;\n", "y");
+            ("char c = 'a\n';\nint z;\n", "z") ]);
+    Alcotest.test_case "a stray ')' in a block is skipped with an error" `Quick
+      (fun () ->
+        let code = "int f(void)\n{\n\tg(a));\n}\nint y;\n" in
+        Alcotest.(check (list (pair string int))) "errors"
+          [ ("unexpected token in block", 3) ]
+          (List.map (fun (m, (q : C_lexer.pos)) -> (m, q.line)) (errors code));
+        match decl_in code ~line:5 ~name:"y" with
+        | Some ("t.c", 5, "var") -> ()
+        | _ -> Alcotest.fail "y is not declared at t.c:5");
     Alcotest.test_case "garbage input terminates with errors" `Quick (fun () ->
         let code = "int ((( {{{ ;;; broken ***\n" in
         check_bool "errors reported" true (errors code <> []));
   ]
+
+(* The parser before its tests became pattern matches
+   (test/c_symbols_ref.ml) is the reference: on generated programs of
+   one to three units, both give the same printout, through shared
+   state and through isolated units and [link].  Every unit includes
+   one shared header (as cpp's markers show it), so a global the header
+   declares is met again at the same position in each unit. *)
+let c_program_gen =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b"; "n"; "p"; "f"; "x"; "T"; "U"; "S" ] in
+  let tag = oneofl [ "S"; "L"; "T" ] in
+  let storage =
+    oneofl [ ""; ""; "static "; "extern "; "auto "; "register "; "typedef " ]
+  in
+  let qual = oneofl [ ""; ""; "const "; "volatile " ] in
+  let base =
+    frequency
+      [ ( 3,
+          oneofl
+            [ "int"; "char"; "unsigned long"; "void"; "double"; "float";
+              "signed short" ] );
+        (2, oneofl [ "T"; "U" ]);
+        (2, map2 (fun k t -> k ^ " " ^ t) (oneofl [ "struct"; "union"; "enum" ]) tag)
+      ]
+  in
+  let stray =
+    oneofl
+      [ ")"; "]"; "}"; "{"; "("; ";"; "***"; "3"; "="; ","; "."; "->"; ":";
+        "else"; "case"; "..."; "while" ]
+  in
+  let sep = oneofl [ " "; " "; "\n"; "\n\t" ] in
+  let cat ps = map (String.concat " ") (flatten_l ps) in
+  let rec expr d =
+    let atom =
+      oneof
+        [ name; oneofl [ "1"; "0x1f"; "\"s\""; "'c'"; "2.5e-3" ];
+          map2 (fun a b -> a ^ "." ^ b) name name;
+          map2 (fun a b -> a ^ "->" ^ b) name name;
+          map2 (fun t a -> "(struct " ^ t ^ " *)" ^ a) tag name;
+          map (fun t -> "sizeof(union " ^ t ^ ")") tag;
+          map (fun t -> "(" ^ t ^ ")") (oneofl [ "T"; "int"; "char *" ]) ]
+    in
+    if d = 0 then atom
+    else
+      frequency
+        [ (3, atom);
+          ( 1,
+            map3
+              (fun a o b -> a ^ o ^ b)
+              (expr (d - 1))
+              (oneofl [ " + "; " = "; " , "; " ? "; " : "; " < "; "*" ])
+              (expr (d - 1)) );
+          (1, map2 (fun f a -> f ^ "(" ^ a ^ ")") name (expr (d - 1)));
+          (1, map2 (fun a i -> a ^ "[" ^ i ^ "]") name (expr (d - 1)));
+          (1, map (fun e -> "(" ^ e ^ ")") (expr (d - 1))) ]
+  in
+  let init =
+    oneof
+      [ return ""; map (fun e -> " = " ^ e) (expr 2);
+        map2 (fun a b -> " = { " ^ a ^ ", " ^ b ^ " }") (expr 1) (expr 1) ]
+  in
+  let params =
+    oneof
+      [ return "void"; return "";
+        map (String.concat ", ")
+          (list_size (int_range 1 3)
+             (cat [ qual; base; oneofl [ " "; " *" ]; name ]));
+        map (fun b -> b ^ " a, ...") base;
+        map (fun b -> b ^ " (*cb)(int)") base ]
+  in
+  let declarator =
+    oneof
+      [ map2 (fun n i -> n ^ i) name init;
+        map2 (fun n i -> "*" ^ n ^ i) name init;
+        map (fun n -> n ^ "[3]") name;
+        map2 (fun n ps -> "(*" ^ n ^ ")(" ^ ps ^ ")") name params;
+        map2 (fun n ps -> n ^ "(" ^ ps ^ ")") name params ]
+  in
+  let declaration =
+    map4
+      (fun s q b ds -> s ^ q ^ b ^ " " ^ String.concat ", " ds ^ ";")
+      storage qual base
+      (list_size (int_range 1 2) declarator)
+  in
+  let field = map3 (fun q b n -> q ^ b ^ " " ^ n ^ ";") qual base name in
+  let aggregate =
+    oneof
+      [ map3
+          (fun k t fs -> k ^ " " ^ t ^ " { " ^ String.concat " " fs ^ " };")
+          (oneofl [ "struct"; "union" ]) tag (list_size (int_range 0 3) field);
+        map2 (fun t fs -> "struct " ^ t ^ " { " ^ String.concat " " fs ^ " } v;") tag
+          (list_size (int_range 1 2) field);
+        map2
+          (fun t cs -> "enum " ^ t ^ " { " ^ String.concat ", " cs ^ " };")
+          tag
+          (list_size (int_range 1 3)
+             (oneof [ name; map2 (fun n e -> n ^ " = " ^ e) name (expr 1) ]));
+        map (fun t -> "typedef struct " ^ t ^ " " ^ t ^ ";") tag;
+        map (fun n -> "typedef int " ^ n ^ ";") (oneofl [ "T"; "U" ]) ]
+  in
+  let rec stmt d =
+    let simple =
+      frequency
+        [ (3, map (fun e -> e ^ ";") (expr 2));
+          (2, declaration);
+          (1, map (fun e -> "return " ^ e ^ ";") (expr 1));
+          ( 1,
+            oneofl
+              [ "break;"; "continue;"; ";"; "goto out;"; "out: ;"; "default: ;" ] );
+          (1, map (fun e -> "case " ^ e ^ ":") (expr 1));
+          (1, stray) ]
+    in
+    if d = 0 then simple
+    else
+      frequency
+        [ (4, simple);
+          ( 2,
+            map
+              (fun ss -> "{ " ^ String.concat " " ss ^ " }")
+              (list_size (int_range 0 4) (stmt (d - 1))) );
+          ( 1,
+            map3
+              (fun k e s -> k ^ " (" ^ e ^ ") " ^ s)
+              (oneofl [ "if"; "while"; "switch"; "for" ])
+              (expr 1) (stmt (d - 1)) );
+          ( 1,
+            map3
+              (fun e a b -> "if (" ^ e ^ ") " ^ a ^ " else " ^ b)
+              (expr 1) (stmt (d - 1)) (stmt (d - 1)) );
+          ( 1,
+            map2
+              (fun s e -> "do " ^ s ^ " while (" ^ e ^ ");")
+              (stmt (d - 1)) (expr 1) ) ]
+  in
+  let fundef =
+    map4
+      (fun s b (n, ps) body ->
+        s ^ b ^ " " ^ n ^ "(" ^ ps ^ ")\n{\n" ^ String.concat "\n" body ^ "\n}")
+      (oneofl [ ""; "static "; "extern " ]) base (pair name params)
+      (list_size (int_range 0 5) (stmt 2))
+  in
+  let top =
+    frequency [ (3, declaration); (2, aggregate); (3, fundef); (1, stray) ]
+  in
+  let lines =
+    map (fun ps -> String.concat "" (List.map (fun (sep, t) -> t ^ sep) ps))
+      (list_size (int_range 0 6) (pair sep top))
+  in
+  map2
+    (fun header units ->
+      List.mapi
+        (fun i (include_it, body) ->
+          let file = Printf.sprintf "u%d.c" i in
+          (if include_it then "# 1 \"h.h\"\n" ^ header ^ "\n" else "")
+          ^ "# 1 \"" ^ file ^ "\"\n" ^ body)
+        units)
+    lines
+    (list_size (int_range 1 3) (pair (frequencyl [ (3, true); (1, false) ]) lines))
+
+let prop_parser_vs_reference =
+  let shared ~create ~parse ~finish units =
+    let st = create () in
+    List.iter (parse st) units;
+    finish st
+  in
+  let linked ~isolated ~typedefs_of ~link units =
+    let typedefs = ref [] in
+    link
+      (List.map
+         (fun toks ->
+           let u = isolated ~typedefs:!typedefs toks in
+           typedefs := List.rev_append (typedefs_of u) !typedefs;
+           u)
+         units)
+  in
+  QCheck.Test.make ~name:"agrees with the reference parser on generated programs"
+    ~count:1000
+    (QCheck.make ~print:(fun us -> String.concat "\n----\n" us) c_program_gen)
+    (fun texts ->
+      let units =
+        List.mapi
+          (fun i t -> C_lexer.tokenize ~file:(Printf.sprintf "u%d.c" i) t)
+          texts
+      in
+      program_text
+        (shared
+           ~create:(fun () -> C_symbols.create_state ())
+           ~parse:C_symbols.parse_unit ~finish:C_symbols.finish units)
+      = program_text
+          (shared
+             ~create:(fun () -> C_symbols_ref.create_state ())
+             ~parse:C_symbols_ref.parse_unit ~finish:C_symbols_ref.finish units)
+      && program_text
+           (linked ~isolated:C_symbols.parse_unit_isolated
+              ~typedefs_of:(fun u -> u.C_symbols.u_typedefs)
+              ~link:C_symbols.link units)
+         = program_text
+             (linked ~isolated:C_symbols_ref.parse_unit_isolated
+                ~typedefs_of:(fun u -> u.C_symbols_ref.u_typedefs)
+                ~link:C_symbols_ref.link units))
 
 let pipeline_tests =
   [
@@ -554,5 +789,6 @@ let () =
       ("cpp", cpp_tests @ [ Seeded.to_alcotest 18 prop_cpp_vs_reference ]);
       ("analysis", analysis_tests);
       ("snippets", snippet_tests);
+      ("parser", [ Seeded.to_alcotest 18 prop_parser_vs_reference ]);
       ("pipeline", pipeline_tests);
     ]
